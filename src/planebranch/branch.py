@@ -115,16 +115,7 @@ class PuiseuxParam:
             raise ValueError(f"coefficient at {e} is beyond working precision {self.trunc}")
         return self.terms.get(e, R0)
 
-    def with_terms(self, terms, label=None) -> "PuiseuxParam":
-        return PuiseuxParam(self.v0, terms, extra=self.extra, label=label)
-
     # -- comparisons and serialization ---------------------------------
-
-    def same_curve(self, other: "PuiseuxParam") -> bool:
-        return (
-            self.v0 == other.v0
-            and self.terms == other.terms
-        )
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxParam):

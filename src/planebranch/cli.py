@@ -168,11 +168,6 @@ def cmd_reproduce(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--json",
-        action="store_true",
-        help="canonical single-line JSON output (the default)",
-    )
-    common.add_argument(
         "--pretty", action="store_true", help="indented JSON output instead"
     )
     common.add_argument(

@@ -15,10 +15,13 @@ Term elimination pairs each eliminable order k with a differential form:
 a form H dX + G dY of value k + v0 (with the appropriate component
 constraints) yields the one-parameter family p = -s G, q = s H whose
 effect on the coefficient of t**k is affine in s with nonzero slope, so a
-single division finds the parameter that kills the term.  The form is
-chosen so that everything below k is provably untouched (function values
-of H and G give an explicit pollution threshold); when no such form
-exists — this happens only for the value v1 + lambda when n1 = 2 and the
+single division by the first-order slope finds the parameter that kills
+the term, and one application of the change removes it.  Every recipe
+takes this path; the result is checked exactly, so a response that was
+not affine would raise InternalError.  The form is chosen so that everything
+below k is provably untouched (function values of H and G give an
+explicit pollution threshold); when no such form exists — as for the
+order v1 + lambda - v0, and some orders above it, when n1 = 2 and the
 genus is at least 2 — the spill below k lands on semigroup orders and is
 restored by the same machinery, all sub-steps being composed into a
 single logged change.
@@ -30,7 +33,6 @@ exactly by a gcd/Bezout computation on the coefficient ratios.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .branch import PuiseuxParam
@@ -67,9 +69,6 @@ class CoordChange:
     r: object
     p: BiPoly
     q: BiPoly
-
-    def is_identity(self) -> bool:
-        return self.r == 1 and self.p.is_zero() and self.q.is_zero()
 
     def to_dict(self) -> dict:
         return {"r": rat_str(self.r), "p": self.p.to_pairs(), "q": self.q.to_pairs()}
@@ -300,75 +299,6 @@ def _candidate_recipes(phi: PuiseuxParam, k: int, lam):
     return out
 
 
-def _interp_power_coeffs(points):
-    """Power-basis coefficients of the polynomial through exact points."""
-    coeffs = [R0] * len(points)
-    for xi, yi in points:
-        # Lagrange basis for xi: product of (s - xj)/(xi - xj) over j != i
-        basis = [R1]  # low-to-high coefficients
-        denom = R1
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            denom = denom * (xi - xj)
-            nxt = [R0] * (len(basis) + 1)
-            for m, b in enumerate(basis):
-                nxt[m] = nxt[m] - xj * b
-                nxt[m + 1] = nxt[m + 1] + b
-            basis = nxt
-        scale = yi / denom
-        for m, b in enumerate(basis):
-            coeffs[m] = coeffs[m] + scale * b
-    return coeffs
-
-
-def _rational_roots(coeffs):
-    """All rational roots of the polynomial (low-to-high coefficients)."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    if len(coeffs) <= 1:
-        return []
-    roots = []
-    if coeffs[0] == 0:
-        roots.append(R0)
-        while coeffs and coeffs[0] == 0:
-            coeffs = coeffs[1:]
-    if len(coeffs) <= 1:
-        return roots
-    den = 1
-    for c in coeffs:
-        d = int(c.denominator)
-        den = den * d // math.gcd(den, d)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    ints = [v // g for v in ints]
-    a_lo, a_hi = abs(ints[0]), abs(ints[-1])
-    if a_lo > 10**15 or a_hi > 10**15:
-        raise InternalError("parameter polynomial too large for exact root search")
-
-    def divisors(n):
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return out
-
-    for p in divisors(a_lo):
-        for q in divisors(a_hi):
-            for cand in (rat(p) / q, -rat(p) / q):
-                acc = R0
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0 and cand not in roots:
-                    roots.append(cand)
-    return roots
-
-
 def _affine_slope(phi: PuiseuxParam, recipe: _Recipe, k: int):
     """d/ds of the coefficient of t**k under recipe(s), to first order in s.
 
@@ -382,57 +312,23 @@ def _affine_slope(phi: PuiseuxParam, recipe: _Recipe, k: int):
 def _solve_step(phi: PuiseuxParam, recipe: _Recipe, k: int, target):
     """Find s with coefficient_k(phi after recipe(s)) = target; apply it.
 
-    The response at order k is a polynomial in s of degree at most
-    k - v1 (every extra power of the parameter drags in one more factor
-    of positive order).  A safe recipe has its pollution threshold above
-    k, so the response is affine there and its first-order slope gives s
-    in closed form, with a single application.  Unsafe recipes are sampled:
-    almost always two samples show an affine response; otherwise the
-    polynomial is interpolated exactly and its rational roots are
-    enumerated.  For safe recipes the jet below k is checked to be
-    untouched.
+    One path for every recipe: s = (target - a_k) / slope, with the
+    first-order slope read off the recipe's form, then a single
+    application of the change.  A safe recipe has its pollution threshold
+    above k, which proves the response affine there; for an unsafe recipe
+    affinity at k is not proven, and the exact check on the result is what
+    guards it.  For safe recipes the jet below k is checked to be
+    untouched; the spill of an unsafe recipe is repaired by the cleanup in
+    ``eliminate_term``.
     """
-    a0 = phi.coeff(k)
-
-    def at(s):
-        ch = CoordChange(r=R1, p=recipe.p_gen.scale(s), q=recipe.q_gen.scale(s))
-        return apply_coordinate_change(phi, ch), ch
-
-    out = ch = None
-    if recipe.safe:
-        slope = _affine_slope(phi, recipe, k)
-        if slope == 0:
-            raise InternalError(
-                f"recipe {recipe.name} for order {k} is ineffective (zero slope)"
-            )
-        out, ch = at((target - a0) / slope)
-    else:
-        phi1, _ = at(R1)
-        c1 = phi1.coeff(k) - a0
-        phi2, _ = at(rat(2))
-        if c1 != 0 and phi2.coeff(k) - a0 == 2 * c1:
-            s_star = (target - a0) / c1
-            cand, cand_ch = at(s_star)
-            if cand.coeff(k) == target:
-                out, ch = cand, cand_ch
-        if out is None:
-            degree = k - phi.v1
-            samples = {0: a0, 1: phi1.coeff(k), 2: phi2.coeff(k)}
-            points = []
-            for i in range(degree + 1):
-                if i in samples:
-                    points.append((rat(i), samples[i]))
-                else:
-                    points.append((rat(i), at(rat(i))[0].coeff(k)))
-            poly = _interp_power_coeffs(points)
-            poly[0] = poly[0] - target
-            roots = _rational_roots(poly)
-            if not roots:
-                raise InternalError(
-                    f"recipe {recipe.name} at order {k} needs an irrational parameter"
-                )
-            s_star = sorted(roots, key=lambda x: (x.denominator, abs(x.numerator), x < 0))[0]
-            out, ch = at(s_star)
+    slope = _affine_slope(phi, recipe, k)
+    if slope == 0:
+        raise InternalError(
+            f"recipe {recipe.name} for order {k} is ineffective (zero slope)"
+        )
+    s = (target - phi.coeff(k)) / slope
+    ch = CoordChange(r=R1, p=recipe.p_gen.scale(s), q=recipe.q_gen.scale(s))
+    out = apply_coordinate_change(phi, ch)
     if out.coeff(k) != target:
         raise InternalError(f"recipe {recipe.name} failed to set order {k} exactly")
     if recipe.safe:
@@ -453,7 +349,7 @@ def _solve_step(phi: PuiseuxParam, recipe: _Recipe, k: int, target):
 _CLEANUP_ROUNDS = 64
 
 
-def eliminate_term(phi: PuiseuxParam, k: int, _target=None, lam=None):
+def eliminate_term(phi: PuiseuxParam, k: int, lam=None):
     """Remove the t**k term by one composed admissible change.
 
     k must be an eliminable order: above v1, different from the Zariski
@@ -467,10 +363,9 @@ def eliminate_term(phi: PuiseuxParam, k: int, _target=None, lam=None):
     """
     if lam is None:
         lam = zariski_invariant(phi)
-    target = R0 if _target is None else rat(_target)
     if k <= phi.v1:
         raise ValueError(f"order {k} is not above v1 = {phi.v1}")
-    if lam is not MONOMIAL_CLASS and k == lam and target == 0:
+    if lam is not MONOMIAL_CLASS and k == lam:
         raise ValueError(f"order {k} is the Zariski invariant; it cannot be removed")
     recipes = _candidate_recipes(phi, k, lam)
     if not recipes:
@@ -478,14 +373,11 @@ def eliminate_term(phi: PuiseuxParam, k: int, _target=None, lam=None):
             f"order {k} is not eliminable: {k + phi.v0} admits no differential witness"
         )
     recipe = recipes[0]
-    cur, ch = _solve_step(phi, recipe, k, target)
+    cur, ch = _solve_step(phi, recipe, k, R0)
     changes = [ch]
     if not recipe.safe:
         ref = dict(phi.terms)
-        if target == 0:
-            ref.pop(k, None)
-        else:
-            ref[k] = target
+        ref.pop(k, None)
         rounds = 0
         while True:
             dirty = sorted(

@@ -122,10 +122,6 @@ def _reachable_without(gens, g, conductor):
     return g in reach
 
 
-def semigroup_from_generators(generators) -> NumericalSemigroup:
-    return NumericalSemigroup(generators)
-
-
 def two_generator_rep(w: int, v0: int, v1: int):
     """Write w = a*v0 + b*v1 with a, b >= 0, smallest b; None if impossible."""
     if w < 0:
@@ -223,8 +219,3 @@ def conductor_formula(gens) -> int:
         n_i = e[i - 1] // e[i]
         total += (n_i - 1) * v[i]
     return total - v[0] + 1
-
-
-def gaps_above(value_set, threshold: int):
-    """Gaps of a semigroup or value set strictly above the threshold."""
-    return value_set.gaps_above(threshold)

@@ -14,8 +14,6 @@ otherwise; both print as "p/q" / "n" which is the on-disk format everywhere.
 
 from __future__ import annotations
 
-import math
-
 try:
     from gmpy2 import mpq as _RAT
 
@@ -87,10 +85,6 @@ class AboveTruncation:
         if isinstance(n, int) and n <= self.trunc:
             return False
         raise ValueError(f"order >= {self.trunc} cannot be compared with {n!r}")
-
-
-def is_finite_order(o) -> bool:
-    return not isinstance(o, AboveTruncation)
 
 
 class TSeries:
@@ -244,21 +238,6 @@ class TSeries:
             return f"TSeries(O(t^{self.trunc}))"
         bits = " + ".join(f"({rat_str(c)})t^{e}" for e, c in sorted(self.terms.items()))
         return f"TSeries({bits} + O(t^{self.trunc}))"
-
-
-def series_arith(a: TSeries, b: TSeries, op: str) -> TSeries:
-    """Dispatch add/sub/mul by name (thin wrapper over the operators)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown series operation {op!r}")
-
-
-def series_order(s: TSeries):
-    return s.order()
 
 
 def series_inverse_unit(u: TSeries) -> TSeries:
@@ -520,10 +499,3 @@ def bipoly_pullback(h: BiPoly, phi) -> TSeries:
             row = row + xpower(a).truncate(N).scale(c)
         acc = acc + (row * ypow).truncate(N)
     return acc.truncate(N)
-
-
-def gcd_all(values) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g

@@ -110,9 +110,6 @@ class ValueSet:
 
     __contains__ = contains
 
-    def gaps_above(self, threshold: int):
-        return [v for v in range(threshold + 1, self.all_above) if v not in self.finite_set]
-
     def witness(self, v: int):
         return self.witnesses.get(v)
 
@@ -382,14 +379,16 @@ def s_sandwich_check(phi: PuiseuxParam) -> dict:
 
     S = {v0, 2v0, v1, v0+v1, 2v1, v0+lambda} consists of differential
     values attained by forms with a linear component.  The difference
-    Lambda minus Lambda2 equals S, with two corrections that both occur
-    exactly when n1 = 2 and the genus is at least 2:
+    Lambda minus Lambda2 equals S, with two corrections in the regime
+    where n1 = 2 and the genus is at least 2, or lambda = 2(v1 - v0):
 
-      * v1 + lambda joins the difference (only forms with a linear part
-        reach it, by cancellation against Y dY), and
-      * 2 v1 leaves it, because with m1 v0 = 2 v1 the form X^(m1-1) dX has
-        both components in the square of the maximal ideal yet attains
-        2 v1 — so 2 v1 lies in Lambda2 in that regime.
+      * 2 v1 leaves it, because a form with both components in the square
+        of the maximal ideal attains 2 v1, so 2 v1 lies in Lambda2 in that
+        regime: X^(m1-1) dX when m1 v0 = 2 v1, and X (v0 X dY - v1 Y dX),
+        of value 2 v0 + lambda, when lambda = 2(v1 - v0);
+      * v1 + lambda joins it (only forms with a linear part reach it, by
+        cancellation against Y dY), unless it lies at or above the point
+        from which Lambda2 holds every value.
 
     Everything is verified against the computed sets; any discrepancy
     raises InternalError.
@@ -407,14 +406,21 @@ def s_sandwich_check(phi: PuiseuxParam) -> dict:
     top = v1 + lam
     n1 = phi.char.n[1]
     genus = phi.char.genus
-    special = n1 == 2 and genus >= 2
-    expected = sorted((set(S) - {2 * v1}) | {top}) if special else S
+    special = (n1 == 2 and genus >= 2) or lam == 2 * (v1 - v0)
+    top_expected = special and top < small.all_above
+    expected = set(S)
+    if special:
+        expected.discard(2 * v1)
+    if top_expected:
+        expected.add(top)
+    expected = sorted(expected)
     if diff != expected:
         raise InternalError(f"sandwich fails: expected {expected}, computed {diff}")
     has_top = top in diff
-    if has_top != special:
+    if has_top != top_expected:
         raise InternalError(
-            f"top membership {has_top} contradicts n1={n1}, genus={genus}"
+            f"top membership {has_top} contradicts n1={n1}, genus={genus}, "
+            f"lambda={lam}"
         )
     if special and not small.contains(2 * v1):
         raise InternalError(f"2*v1 = {2 * v1} should be attained in Lambda2 here")

@@ -7,6 +7,7 @@ import pytest
 from planebranch import (
     BiPoly,
     CoordChange,
+    InternalError,
     MONOMIAL_CLASS,
     PuiseuxParam,
     apply_coordinate_change,
@@ -24,6 +25,7 @@ from planebranch import (
     to_normal_form,
     zariski_invariant,
 )
+from planebranch import normalform
 from planebranch.normalform import _affine_slope, _candidate_recipes, _ts_pow
 from planebranch.series import TSeries
 from planebranch.valuation import form_witnesses
@@ -199,23 +201,35 @@ class TestEliminateTerm:
             eliminate_term(phi, 11)
 
     @pytest.mark.parametrize(
-        "v0, coeffs, k, name",
+        "v0, coeffs, k, name, safe",
         [
-            (7, {8: 1, 10: 1, 16: 1}, 16, "EC1"),
-            (7, {8: 1, 10: 1, 17: 5}, 17, "EC2"),
-            (7, {8: 1, 10: 1, 18: 1}, 18, "witness"),
+            (7, {8: 1, 10: 1, 16: 1}, 16, "EC1", True),
+            (7, {8: 1, 10: 1, 17: 5}, 17, "EC2", True),
+            (7, {8: 1, 10: 1, 18: 1}, 18, "witness", True),
+            (6, {9: 1, 13: 1, 16: 1}, 16, "witness", False),
         ],
     )
-    def test_closed_form_slope_matches_sampled_slope(self, v0, coeffs, k, name):
-        # a safe recipe responds affinely at order k, so the first-order
-        # slope read off its form equals the sampled difference f(1) - f(0)
+    def test_closed_form_slope_matches_sampled_slope(self, v0, coeffs, k, name, safe):
+        # each recipe here, the unsafe one included, responds affinely at
+        # order k, so the first-order slope read off its form equals the
+        # sampled difference f(1) - f(0)
         phi = branch(v0, coeffs)
         recipe = _candidate_recipes(phi, k, zariski_invariant(phi))[0]
-        assert recipe.name == name and recipe.safe
+        assert recipe.name == name and recipe.safe is safe
         ch = CoordChange(r=rat(1), p=recipe.p_gen, q=recipe.q_gen)
         sampled = apply_coordinate_change(phi, ch).coeff(k) - phi.coeff(k)
         assert sampled != 0
         assert _affine_slope(phi, recipe, k) == sampled
+
+    def test_slope_missing_the_target_raises(self, monkeypatch):
+        # the exact check on the solved coefficient guards the affine step
+        real = normalform._affine_slope
+        monkeypatch.setattr(
+            normalform, "_affine_slope", lambda *args: 2 * real(*args)
+        )
+        phi = branch(6, {9: 1, 13: 1, 16: 1})
+        with pytest.raises(InternalError, match="recipe witness failed to set order 16"):
+            eliminate_term(phi, 16)
 
     @pytest.mark.parametrize(
         "v0, coeffs",

@@ -9,9 +9,7 @@ from planebranch.semigroup import (
     NumericalSemigroup,
     char_exponents_from_generators,
     conductor_formula,
-    gaps_above,
     generators_from_char_exponents,
-    semigroup_from_generators,
     two_generator_rep,
     validate_plane_branch_semigroup,
 )
@@ -33,7 +31,7 @@ def brute_members(gens, bound):
 
 class TestSemigroupTable:
     def test_seven_eight(self):
-        s = semigroup_from_generators([7, 8])
+        s = NumericalSemigroup([7, 8])
         assert s.conductor == 42
         members = brute_members([7, 8], 100)
         for v in range(0, 60):
@@ -42,37 +40,37 @@ class TestSemigroupTable:
         assert len(s.gaps) == 21  # symmetric: half of the conductor
 
     def test_six_nine_nineteen(self):
-        s = semigroup_from_generators([6, 9, 19])
+        s = NumericalSemigroup([6, 9, 19])
         assert s.conductor == 42
         members = brute_members([6, 9, 19], 100)
         for v in range(0, 60):
             assert s.contains(v) == ((v in members) or v >= 42)
 
     def test_minimal_generators_are_extracted(self):
-        s = semigroup_from_generators([6, 9, 19, 25])  # 25 = 6 + 19
+        s = NumericalSemigroup([6, 9, 19, 25])  # 25 = 6 + 19
         assert s.generators == (6, 9, 19)
-        assert semigroup_from_generators([8, 7, 7]).generators == (7, 8)
+        assert NumericalSemigroup([8, 7, 7]).generators == (7, 8)
 
     def test_whole_naturals(self):
-        s = semigroup_from_generators([1])
+        s = NumericalSemigroup([1])
         assert s.conductor == 0
         assert s.gaps == ()
 
     def test_rejects_common_divisor(self):
         with pytest.raises(ValueError):
-            semigroup_from_generators([4, 6])
+            NumericalSemigroup([4, 6])
 
     def test_membership_table_covers_required_window(self):
-        s = semigroup_from_generators([7, 8])
+        s = NumericalSemigroup([7, 8])
         for v in range(42, 42 + 2 * 7 + 1):
             assert s.contains(v)
 
     def test_gaps_above(self):
-        s = semigroup_from_generators([7, 8])
+        s = NumericalSemigroup([7, 8])
         members = brute_members([7, 8], 42)
         expected = [v for v in range(11, 42) if v not in members]
-        assert gaps_above(s, 10) == expected
-        assert gaps_above(s, 41) == []
+        assert s.gaps_above(10) == expected
+        assert s.gaps_above(41) == []
 
 
 class TestCharacteristicExponents:
@@ -86,7 +84,7 @@ class TestCharacteristicExponents:
         v = generators_from_char_exponents(beta)
         assert v == (8, 12, 26, 53)
         assert char_exponents_from_generators(v) == beta
-        s = semigroup_from_generators(v)
+        s = NumericalSemigroup(v)
         assert s.conductor == conductor_formula(v)
 
     def test_round_trip(self):
@@ -98,7 +96,7 @@ class TestCharacteristicExponents:
     def test_conductor_closed_form(self):
         for beta in [(7, 8), (6, 9, 10), (4, 6, 7), (8, 12, 14, 15), (4, 10, 11)]:
             v = generators_from_char_exponents(beta)
-            assert semigroup_from_generators(v).conductor == conductor_formula(v)
+            assert NumericalSemigroup(v).conductor == conductor_formula(v)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):

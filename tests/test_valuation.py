@@ -241,6 +241,24 @@ class TestSandwich:
         assert rep["n1"] == 2 and rep["genus"] == 2
         assert rep["top_attained"] is True
 
+    def test_lambda_twice_v1_minus_v0_moves_two_v1(self):
+        # lambda = 10 = 2 (9 - 4): X (v0 X dY - v1 Y dX) puts 2 v1 = 18 in
+        # Lambda2, and v1 + lambda = 19 joins the difference
+        rep = s_sandwich_check(branch(4, e9=1, e10=1))
+        assert rep["n1"] == 4 and rep["genus"] == 1
+        assert rep["lambda_minus_lambda2"] == [4, 8, 9, 13, 14, 19]
+        assert rep["top_attained"] is True
+        assert rep["two_v1_in_lambda2"] is True
+
+    def test_lambda_twice_v1_minus_v0_top_past_window(self):
+        # lambda = 10 = 2 (8 - 3): 2 v1 = 16 leaves the difference, but
+        # v1 + lambda = 18 lies where Lambda2 already holds every value
+        rep = s_sandwich_check(branch(3, e8=1, e10=1))
+        assert rep["top_value"] == 18
+        assert rep["lambda_minus_lambda2"] == [3, 6, 8, 11, 13]
+        assert rep["top_attained"] is False
+        assert rep["two_v1_in_lambda2"] is True
+
     def test_monomial_class_refused(self):
         with pytest.raises(ValueError):
             s_sandwich_check(branch(7, e8=1))
