@@ -1,5 +1,7 @@
 """Exact invariants and normal forms of plane branch singularities."""
 
+import sys
+
 from .branch import BranchInputError, PuiseuxParam
 from .catalog import (
     EXAMPLE_IDS,
@@ -10,7 +12,14 @@ from .catalog import (
     random_coordinate_change,
     run_reproduction,
 )
-from .cli import main as cli_main
+
+# While `python -m planebranch.cli` locates its module it imports this
+# package with sys.argv[0] == "-m", then runs cli.py as __main__; loading
+# cli here as well would run it twice, which runpy warns about.  Otherwise
+# cli is loaded with the package, so `planebranch.cli` is in sys.modules.
+if sys.argv[:1] != ["-m"]:
+    from .cli import main as cli_main
+
 from .normalform import (
     CoordChange,
     EquivVerdict,

@@ -10,9 +10,15 @@ and that marker never compares equal to an integer.
 
 Rationals are gmpy2.mpq when available (much faster), fractions.Fraction
 otherwise; both print as "p/q" / "n" which is the on-disk format everywhere.
+A product of series multiplies integer numerators over one common
+denominator per factor and builds each output coefficient once, so the
+rational type is normalised per output term, not per pair of terms.
 """
 
 from __future__ import annotations
+
+from math import lcm
+from operator import add, sub
 
 try:
     from gmpy2 import mpq as _RAT
@@ -28,8 +34,6 @@ def rat(value, den=None):
     """Coerce ``value`` (int, "p/q" string, or rational) to the backend type."""
     if den is not None:
         return _RAT(value, den)
-    if isinstance(value, str):
-        return _RAT(value)
     return _RAT(value)
 
 
@@ -85,6 +89,12 @@ class AboveTruncation:
         if isinstance(n, int) and n <= self.trunc:
             return False
         raise ValueError(f"order >= {self.trunc} cannot be compared with {n!r}")
+
+
+def _numerators(terms):
+    """(d, [(e, n), ...]) with d the lcm of the denominators and each c = n / d."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
 
 
 class TSeries:
@@ -166,24 +176,25 @@ class TSeries:
         return TSeries(self.trunc, {e: -c for e, c in self.terms.items()}, _clean=True)
 
     def __add__(self, other):
+        return self._combine(other, add)
+
+    def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def _combine(self, other, op):
+        """self + other or self - other, as op is operator.add or .sub."""
         if not isinstance(other, TSeries):
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        out = {}
-        for e, c in self.terms.items():
-            if e < trunc:
-                out[e] = c
+        out = {e: c for e, c in self.terms.items() if e < trunc}
         for e, c in other.terms.items():
             if e < trunc:
-                s = out.get(e, R0) + c
+                s = op(out.get(e, R0), c)
                 if s == 0:
                     out.pop(e, None)
                 else:
                     out[e] = s
         return TSeries(trunc, out, _clean=True)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, TSeries):
@@ -191,17 +202,21 @@ class TSeries:
         # Trusted window of a product: each factor's tail enters at its
         # truncation plus the other's order, so take the better bound.
         trunc = min(self.trunc + other.order_floor(), other.trunc + self.order_floor())
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        # Convolve integer numerators over one denominator per factor, so
+        # each output coefficient is normalised once, not once per pair.
+        da, a = _numerators(self.terms)
+        db, b = _numerators(other.terms)
+        b.sort()
+        acc = {}
+        for e1, n1 in a:
+            room = trunc - e1
+            for e2, n2 in b:
+                if e2 >= room:
+                    break
                 e = e1 + e2
-                if e < trunc:
-                    s = out.get(e, R0) + c1 * c2
-                    if s == 0:
-                        out.pop(e, None)
-                    else:
-                        out[e] = s
-        return TSeries(trunc, out, _clean=True)
+                acc[e] = acc.get(e, 0) + n1 * n2
+        d = da * db
+        return TSeries(trunc, {e: _RAT(n, d) for e, n in acc.items() if n}, _clean=True)
 
     def __rmul__(self, other):
         return self.scale(other)

@@ -53,21 +53,39 @@ def test_traced_layers_resolve():
         assert callable(_resolve(importlib.import_module(module), attr)), name
 
 
-def test_workload_bindings_resolve_after_plain_import():
+def _run_after_plain_import(code):
     # a fresh interpreter, so that submodules imported by other tests do
     # not hide a name that `import planebranch` alone no longer exposes
+    src = str(Path(planebranch.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import planebranch\n" + code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_workload_bindings_resolve_after_plain_import():
     chains = set()
     for path in sorted(BENCH.glob("*.py")):
         chains |= _pb_chains(path)
     assert {"cli.main", "series.RAT_BACKEND"} <= chains
-    code = (
-        "import functools, planebranch\n"
+    _run_after_plain_import(
+        "import functools\n"
         f"for dotted in {sorted(chains)!r}:\n"
         "    functools.reduce(getattr, dotted.split('.'), planebranch)\n"
     )
-    src = str(Path(planebranch.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+
+
+def test_traced_modules_loaded_by_plain_import():
+    # the tracer looks each module up in sys.modules before any workload
+    # has run, so a submodule loaded only on first use cannot be wrapped
+    modules = sorted({module for module, _ in _layers().values()})
+    _run_after_plain_import(
+        "import sys\n"
+        f"missing = [m for m in {modules!r} if m not in sys.modules]\n"
+        "assert not missing, missing\n"
     )
-    assert run.returncode == 0, run.stderr

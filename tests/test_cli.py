@@ -1,9 +1,14 @@
 """In-process tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planebranch
 from planebranch.cli import main
 
 
@@ -254,3 +259,21 @@ def test_canonical_output_is_single_line(capsys):
     code, out, _ = run_cli(capsys, "semigroup", "--generators", "6,9,19")
     assert code == 0
     assert out.count("\n") == 1 and out.endswith("\n")
+
+
+@pytest.mark.parametrize("module", ["planebranch.cli", "planebranch"])
+def test_module_entry_points_run_clean(module):
+    # a RuntimeWarning here would mean the package imported `cli` before
+    # runpy executed it as __main__
+    src = str(Path(planebranch.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert run.stdout.startswith("usage: planebranch")

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from planebranch.series import (
     AboveTruncation,
     BiPoly,
+    R0,
     R1,
     TSeries,
     bipoly_pullback,
@@ -57,6 +58,14 @@ class TestArithmetic:
         b = S(12, e3="-2/3", e5=1)
         assert (a + b).is_zero()
         assert (a - a).is_zero()
+
+    def test_sub_cancels_to_zero(self):
+        a = S(12, e3="2/3", e5=-1)
+        b = S(9, e3="2/3", e5=-1, e7=4, e10=1)
+        assert (a - S(12, e3="2/3", e5=-1)).is_zero()
+        assert (b - a).terms == {7: rat(4)} and (b - a).trunc == 9
+        assert (a - b).terms == {7: rat(-4)}
+        assert a.terms == {3: rat("2/3"), 5: rat(-1)}
 
     def test_add_sub_mul_operators(self):
         a, b = S(9, e2=1), S(9, e3=4)
@@ -194,6 +203,41 @@ class TestCompose:
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
+def pairwise_product(a, b):
+    """Reference product: one rational multiply-add per pair of terms."""
+    trunc = min(a.trunc + b.order_floor(), b.trunc + a.order_floor())
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = e1 + e2
+            if e < trunc:
+                s = out.get(e, R0) + c1 * c2
+                if s == 0:
+                    out.pop(e, None)
+                else:
+                    out[e] = s
+    return trunc, out
+
+
+@st.composite
+def factors(draw):
+    """Two series of unequal truncations, possibly empty, often cancelling.
+
+    With ``mirror`` the second factor is the first at -t plus extra terms,
+    so every odd coefficient of a(t) a(-t) cancels.
+    """
+    trunc = draw(st.integers(0, 16))
+    terms = {e: draw(coeffs) for e in draw(st.lists(st.integers(0, 15), max_size=6))}
+    a = TSeries(trunc, terms)
+    if draw(st.booleans()):
+        mirror = {e: -c if e % 2 else c for e, c in terms.items()}
+        extra = draw(st.dictionaries(st.integers(0, 15), coeffs, max_size=2))
+        b = TSeries(draw(st.integers(0, 16)), {**mirror, **extra})
+    else:
+        b = draw(small_series(trunc=draw(st.integers(1, 16))))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
 @st.composite
 def small_series(draw, min_order=0, unit_lead=False, trunc=10):
     terms = {}
@@ -212,6 +256,16 @@ class TestAlgebraProperties:
         rhs = a * b + a * c
         n = min(lhs.trunc, rhs.trunc)
         assert lhs.agrees_through(rhs, n)
+
+    @settings(deadline=None, max_examples=300)
+    @given(factors())
+    def test_mul_matches_pairwise_product(self, ab):
+        a, b = ab
+        p = a * b
+        trunc, terms = pairwise_product(a, b)
+        assert p.trunc == trunc
+        assert p.terms == terms
+        assert all(type(c) is type(R1) and c != 0 for c in p.terms.values())
 
     @settings(deadline=None, max_examples=60)
     @given(small_series(min_order=0, unit_lead=True), st.integers(2, 6))

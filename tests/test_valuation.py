@@ -259,6 +259,17 @@ class TestSandwich:
         assert rep["top_attained"] is False
         assert rep["two_v1_in_lambda2"] is True
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InternalError,
+        reason="known defect: for Gamma = <6, 14, 51>, lambda = 16 = 2 (v1 - v0), "
+        "the check expects [6, 12, 14, 20, 22, 30] and computes [6, 12, 14, 20, 22, 35]",
+    )
+    def test_n1_three_lambda_twice_v1_minus_v0(self):
+        # v1 + lambda = 30 = 5 v0 already lies in Lambda2 (X^4 dX attains it)
+        rep = s_sandwich_check(branch(6, e14=1, e16=-1, e23=2))
+        assert rep["n1"] == 3 and rep["genus"] == 2
+
     def test_monomial_class_refused(self):
         with pytest.raises(ValueError):
             s_sandwich_check(branch(7, e8=1))
