@@ -409,17 +409,23 @@ class BiPoly:
         return BiPoly({k: -c for k, c in self.terms.items()}, _clean=True)
 
     def __add__(self, other):
+        return self._combine(other, add)
+
+    def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def _combine(self, other, op):
+        """self + other or self - other, as op is operator.add or .sub."""
+        if not isinstance(other, BiPoly):
+            return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, R0) + c
+            s = op(out.get(k, R0), c)
             if s == 0:
                 out.pop(k, None)
             else:
                 out[k] = s
         return BiPoly(out, _clean=True)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, BiPoly):

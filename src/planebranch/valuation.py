@@ -16,7 +16,9 @@ Four sets are computed, each with one explicit witness per attained value:
 
 Each set is produced by Gaussian elimination over the pulled-back basis
 monomials, ordered by leading t-exponent; the combination witnessing each
-pivot is carried along.  Everything is exact.
+pivot is carried along.  Everything is exact.  The elimination is
+fraction-free: each row is integer numerators over one denominator, and
+rationals are rebuilt only for the witnesses it returns (see _eliminate).
 
 The smallest element of Lambda outside Gamma, minus v0, is the Zariski
 invariant lambda; branches whose Lambda adds nothing to the semigroup
@@ -26,9 +28,10 @@ form the monomial class (equivalent to (t^v0, t^v1)) and get a sentinel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .branch import PuiseuxParam
-from .series import AboveTruncation, BiPoly, TSeries, bipoly_pullback
+from .series import AboveTruncation, BiPoly, TSeries, _numerators, bipoly_pullback, rat
 
 
 class _MonomialClass:
@@ -163,30 +166,88 @@ def _monomial_pullback(phi: PuiseuxParam, a: int, b: int) -> TSeries:
 
 
 def _eliminate(rows, lead_cap):
-    """Greedy Gaussian elimination by leading exponent.
+    """Greedy Gaussian elimination by leading exponent, on integer rows.
 
     ``rows`` is a list of (sort_key, series, wH, wG) with deterministic
     keys; rows are processed by (initial order, key) and reduced against
-    the pivots found so far.  Returns {lead: (series, wH, wG)} for leads
-    <= lead_cap.
+    the pivots found so far.  Returns {lead: (wH, wG)}, the witness pair of
+    the pivot at each lead <= lead_cap.
+
+    Each row is held over one positive integer denominator d: the series
+    as the list S of numerators of t**lead, ..., t**(trunc - 1), the two
+    witness components as maps H, G from monomial to numerator.  Reducing
+    a row against the pivot (P, PH, PG) at its lead replaces X by
+    P[0] X - S[0] PX for X in S, H, G and d by d P[0] (signs flipped to
+    keep d > 0); zip keeps the shorter of S and P, which cuts the truncation
+    to the smaller of the two.  The zeros the step creates at the front of
+    S are dropped, and one content gcd of d and all numerators is divided
+    out.  Writing pd for the pivot's own denominator, the row then holds
+
+        S/d - (S[0]/d) / (P[0]/pd) * P/pd,
+
+    the rational row minus the multiple of the pivot that clears its lead,
+    which is exactly the step of the same elimination over Q.  By induction
+    every row equals its rational counterpart at every step, so the leads,
+    the rows that vanish and the witnesses H/d, G/d are the same rationals
+    as those of the rational loop; only the representation is fraction-free
+    (after Bareiss, Math. Comp. 22, 1968), so a step pays one gcd pass per
+    row instead of a gcd per coefficient of each scaled and subtracted copy.
     """
     rows = sorted(rows, key=lambda r: (r[1].order_floor(), r[0]))
     pivots = {}
     for _, s, wH, wG in rows:
-        while s.terms:
-            lead = min(s.terms)
-            if lead > lead_cap:
-                break
+        if not s.terms:
+            continue
+        parts = [_numerators(w.terms) for w in (s, wH, wG)]
+        d = lcm(*[dx for dx, _ in parts])
+        S, H, G = ({k: n * (d // dx) for k, n in X} for dx, X in parts)
+        lead = min(S)
+        S = [S.get(e, 0) for e in range(lead, s.trunc)]
+        while lead <= lead_cap:
             hit = pivots.get(lead)
             if hit is None:
-                pivots[lead] = (s, wH, wG)
+                pivots[lead] = (d, S, H, G)
                 break
-            ps, pH, pG = hit
-            f = s.terms[lead] / ps.terms[lead]
-            s = s - ps.scale(f)
-            wH = wH - pH.scale(f)
-            wG = wG - pG.scale(f)
-    return pivots
+            _, P, PH, PG = hit
+            a, b = P[0], S[0]
+            if a < 0:
+                a, b = -a, -b
+            S = [a * n - b * p for n, p in zip(S, P)]
+            for k, n in enumerate(S):
+                if n:
+                    break
+            else:
+                break
+            S = S[k:]
+            lead += k
+            H = _combine_rows(H, PH, a, b)
+            G = _combine_rows(G, PG, a, b)
+            d *= a
+            g = gcd(d, *S, *H.values(), *G.values())
+            if g != 1:
+                d //= g
+                S = [n // g for n in S]
+                H, G = ({m: n // g for m, n in X.items()} for X in (H, G))
+    return {
+        lead: (_bipoly_over(H, d), _bipoly_over(G, d))
+        for lead, (d, _, H, G) in pivots.items()
+    }
+
+
+def _combine_rows(X, PX, a, b):
+    """a X - b PX on integer numerator maps."""
+    out = {k: a * n for k, n in X.items()}
+    for k, n in PX.items():
+        v = out.get(k, 0) - b * n
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out
+
+
+def _bipoly_over(X, d) -> BiPoly:
+    return BiPoly({k: rat(n, d) for k, n in X.items()}, _clean=True)
 
 
 def _assert_window_filled(kind, values, all_above, decided_to):
@@ -204,6 +265,11 @@ def function_witnesses(phi: PuiseuxParam, top: int) -> dict:
     pullbacks cut at t**(top + 1); as for form_witnesses, the result is the
     full table restricted to values <= top.
     """
+    pivots = _eliminate(_function_rows(phi, top), top)
+    return {lead: wH for lead, (wH, _) in pivots.items()}
+
+
+def _function_rows(phi: PuiseuxParam, top: int) -> list:
     v0, v1 = phi.v0, phi.v1
     rows = []
     for a in range(top // v0 + 1):
@@ -213,8 +279,7 @@ def function_witnesses(phi: PuiseuxParam, top: int) -> dict:
             key = (a * v0 + b * v1, a, b)
             rows.append((key, _monomial_pullback(phi, a, b).truncate(top + 1),
                          BiPoly.monomial(a, b), BiPoly.zero()))
-    pivots = _eliminate(rows, top)
-    return {lead: wH for lead, (_, wH, _) in pivots.items()}
+    return rows
 
 
 def semigroup_of_values(phi: PuiseuxParam) -> ValueSet:
@@ -271,6 +336,11 @@ def form_witnesses(phi: PuiseuxParam, kind: str, top: int) -> dict:
     and a pivot at lead e only sees coefficients at orders <= e, so the
     witnesses are exactly those of the full set restricted to values <= top.
     """
+    pivots = _eliminate(_form_rows(phi, kind, top), top - 1)
+    return {lead + 1: DifferentialForm(H=wH, G=wG) for lead, (wH, wG) in pivots.items()}
+
+
+def _form_rows(phi: PuiseuxParam, kind: str, top: int) -> list:
     v0, v1 = phi.v0, phi.v1
     filt = _KIND_FILTERS[kind]
     yprime = phi.y_series().derivative()
@@ -289,8 +359,7 @@ def form_witnesses(phi: PuiseuxParam, kind: str, top: int) -> dict:
                          * yprime.truncate(top - base))
                 rows.append(((base + v1, a, b, 1), integ,
                              BiPoly.zero(), BiPoly.monomial(a, b)))
-    pivots = _eliminate(rows, top - 1)
-    return {lead + 1: DifferentialForm(H=wH, G=wG) for lead, (_, wH, wG) in pivots.items()}
+    return rows
 
 
 def lambda_set(phi: PuiseuxParam, kind: str = "Lambda") -> ValueSet:

@@ -295,6 +295,14 @@ class TestBiPoly:
         assert not BiPoly({(0, 0): 1}).in_max_ideal()
         assert BiPoly.zero().in_max_ideal_sq()
 
+    def test_sub_cancels_to_zero(self):
+        p = BiPoly({(1, 0): "2/3", (0, 2): -1})
+        q = BiPoly({(1, 0): "2/3", (0, 2): -1, (2, 1): 4})
+        assert (p - BiPoly({(1, 0): "2/3", (0, 2): -1})).is_zero()
+        assert (q - p).terms == {(2, 1): rat(4)}
+        assert (p - q).terms == {(2, 1): rat(-4)}
+        assert p.terms == {(1, 0): rat("2/3"), (0, 2): rat(-1)}
+
     def test_ring_ops(self):
         p = BiPoly.monomial(1, 0) + BiPoly.monomial(0, 1)  # X + Y
         q = BiPoly.monomial(1, 0) - BiPoly.monomial(0, 1)  # X - Y

@@ -1,15 +1,20 @@
 """Differential value sets against pinned table rows and random soundness checks."""
 
 import random
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from planebranch.branch import PuiseuxParam
-from planebranch.series import BiPoly, rat
+from planebranch.series import R1, BiPoly, TSeries, rat
 from planebranch.valuation import (
     MONOMIAL_CLASS,
     DifferentialForm,
     InternalError,
+    _eliminate,
+    _form_rows,
+    _function_rows,
     function_witnesses,
     lambda_set,
     s_sandwich_check,
@@ -74,6 +79,87 @@ class TestFunctionValues:
         for top in range(phi.v1, phi.trunc):
             expected = {w: h for w, h in full.items() if w <= top}
             assert function_witnesses(phi, top) == expected, top
+
+
+def rational_eliminate(rows, lead_cap):
+    """Reference elimination over Q: every row step scales and subtracts
+    the pivot's series and witnesses coefficient by coefficient."""
+    rows = sorted(rows, key=lambda r: (r[1].order_floor(), r[0]))
+    pivots = {}
+    for _, s, wH, wG in rows:
+        while s.terms:
+            lead = min(s.terms)
+            if lead > lead_cap:
+                break
+            hit = pivots.get(lead)
+            if hit is None:
+                pivots[lead] = (s, wH, wG)
+                break
+            ps, pH, pG = hit
+            f = s.terms[lead] / ps.terms[lead]
+            s = s - ps.scale(f)
+            wH = wH - pH.scale(f)
+            wG = wG - pG.scale(f)
+    return {lead: (wH, wG) for lead, (_, wH, wG) in pivots.items()}
+
+
+coeffs = st.builds(rat, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def elimination_rows(draw):
+    """Rows with mixed signs and denominators, unequal truncations, rational
+    multiples of earlier rows (which cancel to zero) and leads above the cap."""
+    rows = []
+    for key in range(draw(st.integers(1, 8))):
+        if rows and draw(st.booleans()):
+            _, s, wH, wG = draw(st.sampled_from(rows))
+            f = draw(coeffs.filter(bool))
+            s = s.truncate(draw(st.integers(s.order_floor(), s.trunc)))
+            rows.append((key, s.scale(f), wH.scale(f), wG.scale(f)))
+            continue
+        trunc = draw(st.integers(1, 14))
+        s = TSeries(trunc, draw(st.dictionaries(st.integers(0, 13), coeffs, max_size=6)))
+        monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        wH = BiPoly(draw(st.dictionaries(monomials, coeffs, max_size=3)))
+        wG = BiPoly(draw(st.dictionaries(monomials, coeffs, max_size=3)))
+        rows.append((key, s, wH, wG))
+    return rows, draw(st.integers(0, 14))
+
+
+@st.composite
+def small_branches(draw):
+    v0 = draw(st.integers(3, 7))
+    v1 = draw(st.integers(v0 + 1, v0 + 4).filter(lambda e: e % v0))
+    tail = draw(st.dictionaries(st.integers(v1 + 1, v1 + 9), coeffs.filter(bool), max_size=2))
+    assume(gcd(v0, v1, *tail) == 1)
+    return PuiseuxParam(v0, {v1: R1, **tail})
+
+
+def assert_same_pivots(rows, lead_cap):
+    got = _eliminate(rows, lead_cap)
+    expected = rational_eliminate(rows, lead_cap)
+    assert sorted(got) == sorted(expected)
+    for lead, (wH, wG) in expected.items():
+        assert got[lead] == (wH, wG), lead
+        coefficients = [*got[lead][0].terms.values(), *got[lead][1].terms.values()]
+        assert all(type(c) is type(R1) and c != 0 for c in coefficients)
+
+
+class TestElimination:
+    @settings(deadline=None, max_examples=200)
+    @given(elimination_rows())
+    def test_matches_rational_elimination(self, rows_cap):
+        assert_same_pivots(*rows_cap)
+
+    @settings(deadline=None, max_examples=25)
+    @given(small_branches())
+    def test_matches_rational_elimination_on_builder_rows(self, phi):
+        top = phi.trunc - 1
+        assert_same_pivots(_function_rows(phi, top), top)
+        for kind in ("Lambda", "Lambda2", "LambdaPrime"):
+            top = phi.semigroup.conductor + 2 * phi.v0
+            assert_same_pivots(_form_rows(phi, kind, top), top - 1)
 
 
 class TestDifferentialValues:
