@@ -155,11 +155,10 @@ class TestElimination:
     @settings(deadline=None, max_examples=25)
     @given(small_branches())
     def test_matches_rational_elimination_on_builder_rows(self, phi):
-        top = phi.trunc - 1
-        assert_same_pivots(_function_rows(phi, top), top)
+        assert_same_pivots(_function_rows(phi, phi.trunc - 1), phi.trunc - 1)
+        cap = phi.semigroup.conductor + 2 * phi.v0
         for kind in ("Lambda", "Lambda2", "LambdaPrime"):
-            top = phi.semigroup.conductor + 2 * phi.v0
-            assert_same_pivots(_form_rows(phi, kind, top), top - 1)
+            assert_same_pivots(_form_rows(phi, kind, cap), cap - 1)
 
 
 class TestDifferentialValues:
