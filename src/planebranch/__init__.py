@@ -47,8 +47,6 @@ from .series import (
     bipoly_pullback,
     rat,
     rat_str,
-    series_compose,
-    series_reversion,
     series_root_unit,
 )
 from .valuation import (
@@ -102,8 +100,6 @@ __all__ = [
     "run_reproduction",
     "s_sandwich_check",
     "semigroup_of_values",
-    "series_compose",
-    "series_reversion",
     "series_root_unit",
     "to_normal_form",
     "validate_plane_branch_semigroup",

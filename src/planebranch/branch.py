@@ -104,7 +104,7 @@ class PuiseuxParam:
 
     def y_series(self) -> TSeries:
         if self._y is None:
-            self._y = TSeries(self.trunc, dict(self.terms), _clean=True)
+            self._y = TSeries(self.trunc, self.terms)
         return self._y
 
     def support(self):

@@ -130,9 +130,9 @@ def apply_coordinate_change(phi: PuiseuxParam, ch: CoordChange) -> PuiseuxParam:
         raise ValueError("the scaling r of a coordinate change must be nonzero")
     pt = bipoly_pullback(ch.p, phi).truncate(N)
     qt = bipoly_pullback(ch.q, phi).truncate(N)
-    if pt.terms and min(pt.terms) <= v0:
+    if not pt.is_zero() and pt.order() <= v0:
         raise ValueError(f"p must have value > v0 = {v0} along the branch")
-    if qt.terms and min(qt.terms) <= v1:
+    if not qt.is_zero() and qt.order() <= v1:
         raise ValueError(f"q must have value > v1 = {v1} along the branch")
 
     W = phi.y_series().scale(r**v1) + qt
@@ -147,19 +147,19 @@ def apply_coordinate_change(phi: PuiseuxParam, ch: CoordChange) -> PuiseuxParam:
         rho = unit.shift(1).scale(r)  # order 1, leading coefficient r
         new_terms = {}
         R = W.truncate(N)
-        if R.terms and min(R.terms) < v1:
+        if not R.is_zero() and R.order() < v1:
             raise InternalError("transformed y acquired terms below v1")
         P = _ts_pow(rho, v1, N)  # leading coefficient r**e at t**e throughout
         for e in range(v1, N):
-            ce = R.terms.get(e, R0)
+            ce = R.coeff(e)
             if ce != 0:
                 ce = ce / r**e
                 new_terms[e] = ce
                 R = R - P.scale(ce)
             if e + 1 < N:
                 P = (P * rho).truncate(N)
-        if R.terms:
-            raise InternalError(f"triangular solve left residual terms {sorted(R.terms)}")
+        if not R.is_zero():
+            raise InternalError(f"triangular solve left residual terms {R.support()}")
 
     out = PuiseuxParam(v0, new_terms, extra=phi.extra, label=phi.label)
     if out.lead_rescale is not None:

@@ -8,16 +8,21 @@ determine the output.  Order computations on a series that vanishes through
 its truncation return an :class:`AboveTruncation` marker rather than a number,
 and that marker never compares equal to an integer.
 
-Rationals are gmpy2.mpq when available (much faster), fractions.Fraction
-otherwise; both print as "p/q" / "n" which is the on-disk format everywhere.
-A product of series multiplies integer numerators over one common
-denominator per factor and builds each output coefficient once, so the
-rational type is normalised per output term, not per pair of terms.
+A TSeries is stored as integer numerators over one positive denominator,
+in lowest terms, so its arithmetic runs on ints with one content gcd per
+result: a product convolves the stored numerators, a sum or difference
+works over the lcm of the two denominators.  Rationals are built only at
+the boundaries (``terms``, ``coeff``).  BiPoly holds rationals directly.
+
+The rational type is gmpy2.mpq when gmpy2 is installed and
+fractions.Fraction otherwise; both print as "p/q" / "n", which is the
+on-disk format everywhere.  Whether mpq is still faster now that series
+arithmetic runs on ints has not been measured.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 from operator import add, sub
 
 try:
@@ -100,80 +105,86 @@ def _numerators(terms):
 class TSeries:
     """Sparse exact power series truncated at ``trunc`` (exclusive).
 
-    ``terms`` maps exponent -> nonzero rational coefficient, all exponents
-    in [0, trunc).  The zero series is an empty map, which only says the
-    series vanishes through trunc - 1.
+    The series is ``sum(nums[e] * t**e) / den``: ``den`` is a positive int
+    and ``nums`` maps exponent -> nonzero int, all exponents in [0, trunc).
+    The form is canonical, gcd(den, *nums) == 1, so two series are equal
+    exactly when their fields are.  The zero series has no numerators and
+    den 1, which only says the series vanishes through trunc - 1.
+    ``terms`` is the same series as a map exponent -> rational.
     """
 
-    __slots__ = ("trunc", "terms")
+    __slots__ = ("trunc", "den", "nums")
 
-    def __init__(self, trunc: int, terms=None, _clean=False):
+    def __init__(self, trunc: int, terms=None):
         if trunc < 0:
             raise ValueError("truncation order must be >= 0")
+        clean = {}
+        for e, c in (terms or {}).items():
+            if e < 0:
+                raise ValueError(f"negative exponent {e}")
+            if e < trunc:
+                c = rat(c)
+                if c != 0:
+                    clean[e] = c
         self.trunc = trunc
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            self.terms = terms
-        else:
-            clean = {}
-            for e, c in terms.items():
-                if e < 0:
-                    raise ValueError(f"negative exponent {e}")
-                if e < trunc:
-                    c = rat(c)
-                    if c != 0:
-                        clean[e] = c
-            self.terms = clean
+        # the lcm of reduced denominators shares no prime with every numerator
+        self.den, nums = _numerators(clean)
+        self.nums = dict(nums)
+
+    @classmethod
+    def _over(cls, trunc: int, den: int, nums: dict) -> "TSeries":
+        """The series nums / den (den > 0, no zero in nums), made canonical."""
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {e: n // g for e, n in nums.items()}
+        out = cls.__new__(cls)
+        out.trunc, out.den, out.nums = trunc, den, nums
+        return out
 
     @classmethod
     def monomial(cls, exp: int, coeff, trunc: int) -> "TSeries":
-        c = rat(coeff)
-        if exp >= trunc or c == 0:
-            return cls(trunc)
-        return cls(trunc, {exp: c}, _clean=True)
+        return cls(trunc, {exp: coeff})
 
     @classmethod
     def zero(cls, trunc: int) -> "TSeries":
         return cls(trunc)
 
+    @property
+    def terms(self) -> dict:
+        """The coefficients as a new map exponent -> nonzero rational."""
+        d = self.den
+        return {e: _RAT(n, d) for e, n in self.nums.items()}
+
     def coeff(self, e: int):
         if e >= self.trunc:
             raise ValueError(f"coefficient at {e} is beyond truncation {self.trunc}")
-        return self.terms.get(e, R0)
+        n = self.nums.get(e)
+        return R0 if n is None else _RAT(n, self.den)
 
     def order(self):
         """Exact order, or AboveTruncation(trunc) if no terms are visible."""
-        if self.terms:
-            return min(self.terms)
+        if self.nums:
+            return min(self.nums)
         return AboveTruncation(self.trunc)
 
     def order_floor(self) -> int:
         """A certified integer lower bound for the order."""
-        return min(self.terms) if self.terms else self.trunc
+        return min(self.nums) if self.nums else self.trunc
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other):
         if not isinstance(other, TSeries):
             return NotImplemented
-        return self.trunc == other.trunc and self.terms == other.terms
+        return self.trunc == other.trunc and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.trunc, tuple(sorted(self.terms.items()))))
-
-    def agrees_through(self, other: "TSeries", n: int) -> bool:
-        """Do the two series coincide at every exponent < n?"""
-        if n > self.trunc or n > other.trunc:
-            raise ValueError("comparison window exceeds a truncation order")
-        for e in set(self.terms) | set(other.terms):
-            if e < n and self.terms.get(e, R0) != other.terms.get(e, R0):
-                return False
-        return True
+        return hash((self.trunc, self.den, tuple(sorted(self.nums.items()))))
 
     def __neg__(self):
-        return TSeries(self.trunc, {e: -c for e, c in self.terms.items()}, _clean=True)
+        return TSeries._over(self.trunc, self.den, {e: -n for e, n in self.nums.items()})
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -186,15 +197,17 @@ class TSeries:
         if not isinstance(other, TSeries):
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        out = {e: c for e, c in self.terms.items() if e < trunc}
-        for e, c in other.terms.items():
+        d = lcm(self.den, other.den)
+        fa, fb = d // self.den, d // other.den
+        out = {e: n * fa for e, n in self.nums.items() if e < trunc}
+        for e, n in other.nums.items():
             if e < trunc:
-                s = op(out.get(e, R0), c)
-                if s == 0:
-                    out.pop(e, None)
+                v = op(out.get(e, 0), n * fb)
+                if v:
+                    out[e] = v
                 else:
-                    out[e] = s
-        return TSeries(trunc, out, _clean=True)
+                    out.pop(e, None)
+        return TSeries._over(trunc, d, out)
 
     def __mul__(self, other):
         if not isinstance(other, TSeries):
@@ -202,21 +215,16 @@ class TSeries:
         # Trusted window of a product: each factor's tail enters at its
         # truncation plus the other's order, so take the better bound.
         trunc = min(self.trunc + other.order_floor(), other.trunc + self.order_floor())
-        # Convolve integer numerators over one denominator per factor, so
-        # each output coefficient is normalised once, not once per pair.
-        da, a = _numerators(self.terms)
-        db, b = _numerators(other.terms)
-        b.sort()
-        acc = {}
-        for e1, n1 in a:
+        b = sorted(other.nums.items())
+        acc = [0] * trunc
+        for e1, n1 in self.nums.items():
             room = trunc - e1
             for e2, n2 in b:
                 if e2 >= room:
                     break
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + n1 * n2
-        d = da * db
-        return TSeries(trunc, {e: _RAT(n, d) for e, n in acc.items() if n}, _clean=True)
+                acc[e1 + e2] += n1 * n2
+        nums = {e: n for e, n in enumerate(acc) if n}
+        return TSeries._over(trunc, self.den * other.den, nums)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -225,54 +233,34 @@ class TSeries:
         c = rat(c)
         if c == 0:
             return TSeries(self.trunc)
-        return TSeries(self.trunc, {e: c * k for e, k in self.terms.items()}, _clean=True)
+        p = c.numerator
+        nums = {e: p * n for e, n in self.nums.items()}
+        return TSeries._over(self.trunc, self.den * c.denominator, nums)
 
     def shift(self, k: int) -> "TSeries":
         """Multiply by t**k (k may be negative if every exponent allows it)."""
-        if k < 0 and any(e + k < 0 for e in self.terms):
+        if k < 0 and any(e + k < 0 for e in self.nums):
             raise ValueError("shift would create negative exponents")
-        return TSeries(self.trunc + k, {e + k: c for e, c in self.terms.items()}, _clean=True)
+        nums = {e + k: n for e, n in self.nums.items()}
+        return TSeries._over(self.trunc + k, self.den, nums)
 
     def truncate(self, n: int) -> "TSeries":
         if n >= self.trunc:
             return self
-        return TSeries(n, {e: c for e, c in self.terms.items() if e < n}, _clean=True)
+        return TSeries._over(n, self.den, {e: c for e, c in self.nums.items() if e < n})
 
     def derivative(self) -> "TSeries":
-        out = {}
-        for e, c in self.terms.items():
-            if e > 0:
-                out[e - 1] = e * c
-        return TSeries(self.trunc - 1 if self.trunc > 0 else 0, out, _clean=True)
+        nums = {e - 1: e * n for e, n in self.nums.items() if e > 0}
+        return TSeries._over(self.trunc - 1 if self.trunc > 0 else 0, self.den, nums)
 
     def support(self):
-        return sorted(self.terms)
+        return sorted(self.nums)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return f"TSeries(O(t^{self.trunc}))"
         bits = " + ".join(f"({rat_str(c)})t^{e}" for e, c in sorted(self.terms.items()))
         return f"TSeries({bits} + O(t^{self.trunc}))"
-
-
-def series_inverse_unit(u: TSeries) -> TSeries:
-    """Multiplicative inverse of a unit (order-0) series, same truncation."""
-    u0 = u.terms.get(0, R0)
-    if u0 == 0:
-        raise ValueError("series_inverse_unit needs a nonzero constant term")
-    n = u.trunc
-    inv = {0: R1 / u0}
-    pos = [(e, c) for e, c in u.terms.items() if 0 < e < n]
-    for k in range(1, n):
-        acc = R0
-        for e, c in pos:
-            if e <= k:
-                j = inv.get(k - e)
-                if j is not None:
-                    acc += c * j
-        if acc != 0:
-            inv[k] = -acc / u0
-    return TSeries(n, inv, _clean=True)
 
 
 def series_root_unit(w: TSeries, n: int) -> TSeries:
@@ -281,75 +269,40 @@ def series_root_unit(w: TSeries, n: int) -> TSeries:
     Coefficients follow from the defining relation n s' w = w' s, which gives
     the order-by-order recurrence
         s_k = (1/(n k)) * sum_{0 < d <= k} w_d s_{k-d} (d - n (k - d)).
+    It runs on integers: w = W / D as stored, and s = S / E over a running
+    denominator E, the lcm of the denominators of s_0 .. s_k.  Each step
+    reduces the new coefficient once and rescales S only when E grows, so E
+    never exceeds the denominator of the canonical result.
     Exact, O(len(w) * trunc) over sparse w.
     """
     if n <= 0:
         raise ValueError("root index must be positive")
-    if w.terms.get(0, R0) != 1:
+    D = w.den
+    if w.nums.get(0) != D:
         raise ValueError("series_root_unit needs constant term exactly 1")
     N = w.trunc
-    s = {0: R1}
-    wpos = [(d, c) for d, c in w.terms.items() if d > 0]
+    wpos = sorted((d, c) for d, c in w.nums.items() if d > 0)
+    E = 1
+    S = [1]
     for k in range(1, N):
-        acc = R0
+        acc = 0
         for d, c in wpos:
-            if d <= k:
-                sj = s.get(k - d)
-                if sj is not None:
-                    acc += c * sj * (d - n * (k - d))
-        if acc != 0:
-            s[k] = acc / (n * k)
-    return TSeries(N, s, _clean=True)
-
-
-def series_reversion(s: TSeries) -> TSeries:
-    """Compositional inverse r of s, where s has order exactly 1.
-
-    Lagrange inversion: the u**m coefficient of r is (1/m) [t**(m-1)] (t/s)**m.
-    The powers of t/s are built incrementally.  r is trusted through the same
-    truncation order as s, since r_m only needs s through order m <= trunc-1.
-    """
-    if s.order_floor() != 1 or 1 not in s.terms:
-        raise ValueError("series_reversion needs order exactly 1")
-    N = s.trunc
-    base = series_inverse_unit(s.shift(-1).truncate(N - 1))  # (t/s), a unit
-    out = {}
-    power = None
-    for m in range(1, N):
-        power = base if power is None else (power * base).truncate(N - 1)
-        cm = power.terms.get(m - 1, R0)
-        if cm != 0:
-            out[m] = cm / m
-    return TSeries(N, out, _clean=True)
-
-
-def series_compose(outer: TSeries, inner: TSeries) -> TSeries:
-    """outer(inner(t)) for inner of order >= 1, with honest truncation.
-
-    The result is trusted through
-      min( trunc(inner) + (k0-1)*ord(inner),  trunc(outer) * ord(inner) )
-    where k0 is the smallest exponent of outer: the first bound is where
-    inner's tail first leaks in, the second where outer's tail does.
-    """
-    d = inner.order_floor()
-    if d < 1:
-        raise ValueError("series_compose needs inner order >= 1")
-    if not outer.terms:
-        return TSeries(outer.trunc * d)
-    positive = [e for e in outer.terms if e > 0]
-    if not positive:
-        return TSeries.monomial(0, outer.terms[0], outer.trunc * d)
-    k0 = min(positive)
-    trunc = min(inner.trunc + (k0 - 1) * d, outer.trunc * d)
-    acc = TSeries(trunc)
-    power = TSeries.monomial(0, 1, trunc)
-    prev_e = 0
-    for e in sorted(outer.terms):
-        for _ in range(e - prev_e):
-            power = (power * inner).truncate(trunc)
-        prev_e = e
-        acc = acc + power.scale(outer.terms[e])
-    return acc.truncate(trunc)
+            if d > k:
+                break
+            sj = S[k - d]
+            if sj:
+                acc += c * sj * (d - n * (k - d))
+        if acc:
+            q = D * E * n * k  # s_k = acc / q
+            g = gcd(acc, q)
+            acc, q = acc // g, q // g
+            f = q // gcd(E, q)
+            if f != 1:
+                E *= f
+                S = [f * x for x in S]
+            acc *= E // q
+        S.append(acc)
+    return TSeries._over(N, E, {e: x for e, x in enumerate(S) if x})
 
 
 class BiPoly:

@@ -196,13 +196,14 @@ def _eliminate(rows, lead_cap):
     rows = sorted(rows, key=lambda r: (r[1].order_floor(), r[0]))
     pivots = {}
     for _, s, wH, wG in rows:
-        if not s.terms:
+        if s.is_zero():
             continue
-        parts = [_numerators(w.terms) for w in (s, wH, wG)]
-        d = lcm(*[dx for dx, _ in parts])
-        S, H, G = ({k: n * (d // dx) for k, n in X} for dx, X in parts)
-        lead = min(S)
-        S = [S.get(e, 0) for e in range(lead, s.trunc)]
+        parts = [_numerators(w.terms) for w in (wH, wG)]
+        d = lcm(s.den, *[dx for dx, _ in parts])
+        H, G = ({k: n * (d // dx) for k, n in X} for dx, X in parts)
+        f = d // s.den
+        lead = s.order()
+        S = [f * s.nums.get(e, 0) for e in range(lead, s.trunc)]
         while lead <= lead_cap:
             hit = pivots.get(lead)
             if hit is None:

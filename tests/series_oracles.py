@@ -1,0 +1,113 @@
+"""Rational reference implementations of series operations, for tests only.
+
+Each works coefficient by coefficient on the rational ``terms`` of a
+``TSeries`` and builds its result through the public constructor, so it
+shares no arithmetic with the integer kernels it is compared against.
+"""
+
+from planebranch.series import R0, R1, TSeries
+
+
+def rational_root_unit(w: TSeries, n: int) -> TSeries:
+    """The n-th root of w with w(0) = 1, by the recurrence over Q:
+    s_k = (1/(n k)) * sum_{0 < d <= k} w_d s_{k-d} (d - n (k - d))."""
+    wt = w.terms
+    assert wt.get(0) == 1
+    N = w.trunc
+    s = {0: R1}
+    wpos = [(d, c) for d, c in wt.items() if d > 0]
+    for k in range(1, N):
+        acc = R0
+        for d, c in wpos:
+            if d <= k:
+                sj = s.get(k - d)
+                if sj is not None:
+                    acc += c * sj * (d - n * (k - d))
+        if acc != 0:
+            s[k] = acc / (n * k)
+    return TSeries(N, s)
+
+
+def series_inverse_unit(u: TSeries) -> TSeries:
+    """Multiplicative inverse of a unit (order-0) series, same truncation."""
+    ut = u.terms
+    u0 = ut.get(0, R0)
+    if u0 == 0:
+        raise ValueError("series_inverse_unit needs a nonzero constant term")
+    n = u.trunc
+    inv = {0: R1 / u0}
+    pos = [(e, c) for e, c in ut.items() if 0 < e < n]
+    for k in range(1, n):
+        acc = R0
+        for e, c in pos:
+            if e <= k:
+                j = inv.get(k - e)
+                if j is not None:
+                    acc += c * j
+        if acc != 0:
+            inv[k] = -acc / u0
+    return TSeries(n, inv)
+
+
+def _rational_product(a: dict, b: dict, trunc: int) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if e1 + e2 < trunc:
+                out[e1 + e2] = out.get(e1 + e2, R0) + c1 * c2
+    return out
+
+
+def series_reversion(s: TSeries) -> TSeries:
+    """Compositional inverse r of s, where s has order exactly 1.
+
+    Lagrange inversion: the u**m coefficient of r is (1/m) [t**(m-1)] (t/s)**m.
+    The powers of t/s are built incrementally.  r is trusted through the same
+    truncation order as s, since r_m only needs s through order m <= trunc-1.
+    """
+    if s.order_floor() != 1 or s.is_zero():
+        raise ValueError("series_reversion needs order exactly 1")
+    N = s.trunc
+    t_over_s = TSeries(N - 1, {e - 1: c for e, c in s.terms.items()})
+    base = series_inverse_unit(t_over_s).terms  # (t/s), a unit
+    out = {}
+    power = {0: R1}
+    for m in range(1, N):
+        power = _rational_product(power, base, N - 1)
+        cm = power.get(m - 1, R0)
+        if cm != 0:
+            out[m] = cm / m
+    return TSeries(N, out)
+
+
+def series_compose(outer: TSeries, inner: TSeries) -> TSeries:
+    """outer(inner(t)) for inner of order >= 1, with honest truncation.
+
+    The result is trusted through
+      min( trunc(inner) + (k0-1)*ord(inner),  trunc(outer) * ord(inner) )
+    where k0 is the smallest exponent of outer: the first bound is where
+    inner's tail first leaks in, the second where outer's tail does.
+    """
+    d = inner.order_floor()
+    if d < 1:
+        raise ValueError("series_compose needs inner order >= 1")
+    ot = outer.terms
+    if not ot:
+        return TSeries(outer.trunc * d)
+    positive = [e for e in ot if e > 0]
+    if not positive:
+        return TSeries(outer.trunc * d, {0: ot[0]})
+    k0 = min(positive)
+    trunc = min(inner.trunc + (k0 - 1) * d, outer.trunc * d)
+    it = inner.terms
+    acc = {}
+    power = {0: R1}
+    prev_e = 0
+    for e in sorted(ot):
+        for _ in range(e - prev_e):
+            power = _rational_product(power, it, trunc)
+        prev_e = e
+        for k, c in power.items():
+            acc[k] = acc.get(k, R0) + ot[e] * c
+    return TSeries(trunc, acc)
+

@@ -20,8 +20,7 @@ from planebranch import (
     homothety_solve,
     lambda_set,
     rat,
-    series_compose,
-    series_reversion,
+    series_root_unit,
     to_normal_form,
     zariski_invariant,
 )
@@ -29,6 +28,8 @@ from planebranch import normalform
 from planebranch.normalform import _affine_slope, _candidate_recipes, _ts_pow
 from planebranch.series import TSeries
 from planebranch.valuation import form_witnesses
+
+from series_oracles import series_compose, series_reversion
 
 
 def branch(v0, coeffs, extra=0):
@@ -80,11 +81,9 @@ class TestApplyChange:
         xt = TSeries.monomial(4, r**4, N) + bipoly_pullback(p, phi).truncate(N)
         yt = phi.y_series().scale(r**6) + bipoly_pullback(q, phi).truncate(N)
         # recover rho as the unique order-1 root of rho^4 = xt with rho'(0) = r
-        from planebranch import series_root_unit
-
         rho = series_root_unit(xt.shift(-4).scale(r**-4), 4).shift(1).scale(r)
         window = min(_ts_pow(rho, 4, N).trunc, xt.trunc)
-        assert _ts_pow(rho, 4, N).agrees_through(xt, window)
+        assert _ts_pow(rho, 4, N).truncate(window) == xt.truncate(window)
         tau = series_reversion(rho)
         y_new = series_compose(yt, tau)
         for e in range(min(out.trunc, y_new.trunc)):

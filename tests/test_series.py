@@ -1,5 +1,7 @@
 """Exact series arithmetic against independently computed oracles."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,10 +14,14 @@ from planebranch.series import (
     bipoly_pullback,
     rat,
     rat_str,
+    series_root_unit,
+)
+
+from series_oracles import (
+    rational_root_unit,
     series_compose,
     series_inverse_unit,
     series_reversion,
-    series_root_unit,
 )
 
 
@@ -197,7 +203,7 @@ class TestCompose:
         lhs = series_compose(f + g, h)
         rhs = series_compose(f, h) + series_compose(g, h)
         n = min(lhs.trunc, rhs.trunc)
-        assert lhs.agrees_through(rhs, n)
+        assert lhs.truncate(n) == rhs.truncate(n)
 
 
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -217,6 +223,37 @@ def pairwise_product(a, b):
                 else:
                     out[e] = s
     return trunc, out
+
+
+def assert_canonical(s):
+    """One positive denominator, no common factor, no zero, all below trunc."""
+    assert type(s.den) is int and s.den > 0
+    assert gcd(s.den, *s.nums.values()) == 1
+    assert all(type(n) is int and n != 0 and 0 <= e < s.trunc for e, n in s.nums.items())
+
+
+def reference_ops(a, b, f, k, n):
+    """(trunc, terms) of every TSeries operation, on plain rational maps."""
+    ta, tb = a.terms, b.terms
+    both = min(a.trunc, b.trunc)
+
+    def combine(sign):
+        out = {e: c for e, c in ta.items() if e < both}
+        for e, c in tb.items():
+            if e < both:
+                out[e] = out.get(e, R0) + sign * c
+        return both, {e: c for e, c in out.items() if c != 0}
+
+    return {
+        "add": combine(1),
+        "sub": combine(-1),
+        "mul": pairwise_product(a, b),
+        "scale": (a.trunc, {e: c * f for e, c in ta.items() if c * f != 0}),
+        "shift": (a.trunc + k, {e + k: c for e, c in ta.items()}),
+        "truncate": (min(n, a.trunc), {e: c for e, c in ta.items() if e < n}),
+        "derivative": (max(a.trunc - 1, 0), {e - 1: e * c for e, c in ta.items() if e}),
+        "neg": (a.trunc, {e: -c for e, c in ta.items()}),
+    }
 
 
 @st.composite
@@ -255,7 +292,7 @@ class TestAlgebraProperties:
         lhs = a * (b + c)
         rhs = a * b + a * c
         n = min(lhs.trunc, rhs.trunc)
-        assert lhs.agrees_through(rhs, n)
+        assert lhs.truncate(n) == rhs.truncate(n)
 
     @settings(deadline=None, max_examples=300)
     @given(factors())
@@ -267,10 +304,34 @@ class TestAlgebraProperties:
         assert p.terms == terms
         assert all(type(c) is type(R1) and c != 0 for c in p.terms.values())
 
-    @settings(deadline=None, max_examples=60)
-    @given(small_series(min_order=0, unit_lead=True), st.integers(2, 6))
+    @settings(deadline=None, max_examples=300)
+    @given(factors(), coeffs, st.integers(-6, 6), st.integers(0, 18))
+    def test_every_op_matches_rational_reference(self, ab, f, k, n):
+        a, b = ab
+        k = max(k, -a.order_floor())  # a shift down must keep exponents >= 0
+        got = {
+            "add": a + b,
+            "sub": a - b,
+            "mul": a * b,
+            "scale": a.scale(f),
+            "shift": a.shift(k),
+            "truncate": a.truncate(n),
+            "derivative": a.derivative(),
+            "neg": -a,
+        }
+        for op, (trunc, terms) in reference_ops(a, b, f, k, n).items():
+            assert (got[op].trunc, got[op].terms) == (trunc, terms), op
+            assert_canonical(got[op])
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        st.integers(1, 16).flatmap(lambda t: small_series(unit_lead=True, trunc=t)),
+        st.integers(2, 13),
+    )
     def test_root_then_power(self, w, n):
         s = series_root_unit(w, n)
+        assert_canonical(s)
+        assert s == rational_root_unit(w, n)
         p = TSeries.monomial(0, 1, w.trunc)
         for _ in range(n):
             p = (p * s).truncate(w.trunc)
@@ -347,7 +408,8 @@ class TestPullback:
         q = BiPoly.from_pairs([[1, 1, "-1"], [0, 1, "3"]])
         lhs = bipoly_pullback(p * q, phi)
         rhs = (bipoly_pullback(p, phi) * bipoly_pullback(q, phi)).truncate(25)
-        assert lhs.agrees_through(rhs, min(lhs.trunc, rhs.trunc))
+        n = min(lhs.trunc, rhs.trunc)
+        assert lhs.truncate(n) == rhs.truncate(n)
         lhs2 = bipoly_pullback(p + q, phi)
         rhs2 = bipoly_pullback(p, phi) + bipoly_pullback(q, phi)
         assert lhs2 == rhs2
