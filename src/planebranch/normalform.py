@@ -9,7 +9,11 @@ reparametrization t -> rho(t) they transform one Puiseux parametrization
 into another with the same semigroup.  Applying a change is exact: the new
 x-coordinate r**v0 t**v0 + p(x(t), y(t)) is written as (rho(t))**v0 by a
 v0-th root of a unit series, and the new y-coefficients are obtained by a
-triangular solve against the powers of rho, entirely over Q.
+triangular solve against the powers of rho.  The solve is exact but
+fraction-free: the remainder and the current power of rho are integer
+numerator lists over one denominator each, clearing an order is the same
+row step as in the value-set elimination (``series._clear_lead``), and a
+rational is built only for each solved coefficient.
 
 Term elimination pairs each eliminable order k with a differential form:
 a form H dX + G dY of value k + v0 (with the appropriate component
@@ -34,6 +38,7 @@ exactly by a gcd/Bezout computation on the coefficient ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .branch import PuiseuxParam
 from .semigroup import two_generator_rep
@@ -43,6 +48,7 @@ from .series import (
     R0,
     R1,
     TSeries,
+    _clear_lead,
     bipoly_pullback,
     rat,
     rat_str,
@@ -116,6 +122,29 @@ def _ts_pow(base: TSeries, n: int, cap: int) -> TSeries:
     return out
 
 
+def _times_rho(P, dP, rho_nums, d_rho):
+    """(P/dP) * rho at orders e + 1 .. N - 1, for P over orders e .. N - 1.
+
+    rho_nums are the sorted (exponent, numerator) pairs of rho over d_rho,
+    all exponents >= 1; one capped convolution and one content gcd.
+    """
+    n = len(P) - 1
+    Q = [0] * n
+    for i, p in enumerate(P):
+        if p:
+            for k, c in rho_nums:
+                j = i + k - 1
+                if j >= n:
+                    break
+                Q[j] += p * c
+    d = dP * d_rho
+    g = gcd(d, *Q)
+    if g != 1:
+        d //= g
+        Q = [q // g for q in Q]
+    return Q, d
+
+
 def apply_coordinate_change(phi: PuiseuxParam, ch: CoordChange) -> PuiseuxParam:
     """Transform the parametrization by an admissible change, exactly.
 
@@ -145,21 +174,25 @@ def apply_coordinate_change(phi: PuiseuxParam, ch: CoordChange) -> PuiseuxParam:
             TSeries.monomial(0, 1, N - v0) + pt.shift(-v0).scale(1 / r**v0), v0
         )
         rho = unit.shift(1).scale(r)  # order 1, leading coefficient r
-        new_terms = {}
-        R = W.truncate(N)
-        if not R.is_zero() and R.order() < v1:
+        if not W.is_zero() and W.order() < v1:
             raise InternalError("transformed y acquired terms below v1")
-        P = _ts_pow(rho, v1, N)  # leading coefficient r**e at t**e throughout
+        # R = W - sum of the solved c_e rho**e and P = rho**e, as numerator
+        # lists over orders e .. N - 1, each over one denominator
+        Pt = _ts_pow(rho, v1, N)  # leading coefficient r**e at t**e throughout
+        R, dR = [W.nums.get(e, 0) for e in range(v1, N)], W.den
+        P, dP = [Pt.nums.get(e, 0) for e in range(v1, N)], Pt.den
+        rho_nums, d_rho = sorted(rho.nums.items()), rho.den
+        new_terms = {}
         for e in range(v1, N):
-            ce = R.coeff(e)
-            if ce != 0:
-                ce = ce / r**e
-                new_terms[e] = ce
-                R = R - P.scale(ce)
-            if e + 1 < N:
-                P = (P * rho).truncate(N)
-        if not R.is_zero():
-            raise InternalError(f"triangular solve left residual terms {R.support()}")
+            b, a = R[0], P[0]
+            if b and a:
+                new_terms[e] = rat(b * dP, dR * a)  # (b/dR) / (a/dP), a/dP = r**e
+                R, dR = _clear_lead(R, dR, P)
+            if R[0]:
+                raise InternalError(f"triangular solve left a residual term at t^{e}")
+            R = R[1:]
+            if R:
+                P, dP = _times_rho(P, dP, rho_nums, d_rho)
 
     out = PuiseuxParam(v0, new_terms, extra=phi.extra, label=phi.label)
     if out.lead_rescale is not None:

@@ -13,6 +13,9 @@ in lowest terms, so its arithmetic runs on ints with one content gcd per
 result: a product convolves the stored numerators, a sum or difference
 works over the lcm of the two denominators.  Rationals are built only at
 the boundaries (``terms``, ``coeff``).  BiPoly holds rationals directly.
+The two triangular eliminations (``valuation._eliminate`` and the solve in
+``normalform.apply_coordinate_change``) work on bare numerator lists and
+share one fraction-free row step, ``_clear_lead``.
 
 The rational type is gmpy2.mpq when gmpy2 is installed and
 fractions.Fraction otherwise; both print as "p/q" / "n", which is the
@@ -55,8 +58,9 @@ class AboveTruncation:
     """Order bound for a series with no visible terms: true order >= trunc.
 
     Deliberately never equal to any int.  Comparisons against an int n are
-    answered only when decidable from the bound (n < trunc); otherwise they
-    raise, so membership logic cannot silently use an unknown order.
+    answered only when decidable from the bound: ``>`` and ``<=`` for
+    n < trunc, ``>=`` and ``<`` for n <= trunc; otherwise they raise, so
+    membership logic cannot silently use an unknown order.
     """
 
     __slots__ = ("trunc",)
@@ -86,12 +90,12 @@ class AboveTruncation:
         raise ValueError(f"order >= {self.trunc} cannot be compared with {n!r}")
 
     def __lt__(self, n):
-        if isinstance(n, int) and n < self.trunc:
+        if isinstance(n, int) and n <= self.trunc:
             return False
         raise ValueError(f"order >= {self.trunc} cannot be compared with {n!r}")
 
     def __le__(self, n):
-        if isinstance(n, int) and n <= self.trunc:
+        if isinstance(n, int) and n < self.trunc:
             return False
         raise ValueError(f"order >= {self.trunc} cannot be compared with {n!r}")
 
@@ -100,6 +104,31 @@ def _numerators(terms):
     """(d, [(e, n), ...]) with d the lcm of the denominators and each c = n / d."""
     d = lcm(*[c.denominator for c in terms.values()])
     return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
+
+
+def _clear_lead(S, d, P):
+    """One fraction-free step: S/d minus the multiple of P that clears S[0].
+
+    S and P are integer numerator lists starting at the same order, d > 0 is
+    the denominator of S and P[0] != 0.  Returns (T, d') with T/d' equal to
+    S/d - (S[0] / P[0]) P/d, whatever P's own denominator, as
+
+        (P[0] S - S[0] P) / (d P[0])
+
+    (signs flipped to keep d' > 0) with one content gcd divided out.  T[0]
+    is 0, and zip keeps the shorter of S and P, which cuts the truncation to
+    the smaller of the two.
+    """
+    a, b = P[0], S[0]
+    if a < 0:
+        a, b = -a, -b
+    T = [a * n - b * p for n, p in zip(S, P)]
+    d *= a
+    g = gcd(d, *T)
+    if g != 1:
+        d //= g
+        T = [n // g for n in T]
+    return T, d
 
 
 class TSeries:

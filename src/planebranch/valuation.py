@@ -15,10 +15,12 @@ Four sets are computed, each with one explicit witness per attained value:
                dY-component in the ideal (X^2, Y).
 
 Each set is produced by Gaussian elimination over the pulled-back basis
-monomials, ordered by leading t-exponent; the combination witnessing each
-pivot is carried along.  Everything is exact.  The elimination is
-fraction-free: each row is integer numerators over one denominator, and
-rationals are rebuilt only for the witnesses it returns (see _eliminate).
+monomials, ordered by leading t-exponent, with the combination witnessing
+each pivot.  Everything is exact.  The elimination is fraction-free: each
+row is integer numerators over one denominator and carries no witness;
+each step records its rational factor, and the witnesses of the pivots
+alone are rebuilt from those factors once the rows are reduced (see
+_eliminate).
 
 The smallest element of Lambda outside Gamma, minus v0, is the Zariski
 invariant lambda; branches whose Lambda adds nothing to the semigroup
@@ -31,7 +33,15 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .branch import PuiseuxParam
-from .series import AboveTruncation, BiPoly, TSeries, _numerators, bipoly_pullback, rat
+from .series import (
+    AboveTruncation,
+    BiPoly,
+    TSeries,
+    _clear_lead,
+    _numerators,
+    bipoly_pullback,
+    rat,
+)
 
 
 class _MonomialClass:
@@ -171,49 +181,50 @@ def _eliminate(rows, lead_cap):
     ``rows`` is a list of (sort_key, series, wH, wG) with deterministic
     keys; rows are processed by (initial order, key) and reduced against
     the pivots found so far.  Returns {lead: (wH, wG)}, the witness pair of
-    the pivot at each lead <= lead_cap.
+    the pivot at each lead <= lead_cap, in the order the pivots were found.
 
-    Each row is held over one positive integer denominator d: the series
-    as the list S of numerators of t**lead, ..., t**(trunc - 1), the two
-    witness components as maps H, G from monomial to numerator.  Reducing
-    a row against the pivot (P, PH, PG) at its lead replaces X by
-    P[0] X - S[0] PX for X in S, H, G and d by d P[0] (signs flipped to
-    keep d > 0); zip keeps the shorter of S and P, which cuts the truncation
-    to the smaller of the two.  The zeros the step creates at the front of
-    S are dropped, and one content gcd of d and all numerators is divided
-    out.  Writing pd for the pivot's own denominator, the row then holds
+    A row is its series alone, held over one positive integer denominator
+    d as the list S of numerators of t**lead, ..., t**(trunc - 1).  Reducing
+    it against the pivot P (over pd) at its lead is the fraction-free step
+    ``series._clear_lead``: P[0] S - S[0] P over d P[0], one content gcd,
+    zip cutting the truncation to the smaller of the two; the zeros the
+    step creates at the front of S are then dropped.  The row then holds
 
-        S/d - (S[0]/d) / (P[0]/pd) * P/pd,
+        S/d - f * P/pd,   f = (S[0]/d) / (P[0]/pd),
 
     the rational row minus the multiple of the pivot that clears its lead,
     which is exactly the step of the same elimination over Q.  By induction
-    every row equals its rational counterpart at every step, so the leads,
-    the rows that vanish and the witnesses H/d, G/d are the same rationals
-    as those of the rational loop; only the representation is fraction-free
-    (after Bareiss, Math. Comp. 22, 1968), so a step pays one gcd pass per
-    row instead of a gcd per coefficient of each scaled and subtracted copy.
+    every row equals its rational counterpart at every step, so the leads
+    and the rows that vanish are those of the rational loop; only the
+    representation is fraction-free (after Bareiss, Math. Comp. 22, 1968).
+
+    Witnesses are not carried along.  Over Q a row's witness starts at its
+    own (wH, wG) and each step subtracts f times the pivot's witness, so
+    once the row stops it is (wH, wG) - sum f_i W(pivot_i).  That depends
+    only on the rational factors f_i and on the pivots' own witnesses, not
+    on how the integer rows happen to be scaled.  Each step therefore only
+    records the pivot's lead, S[0] and d; when the loop is done, the
+    witness of every pivot is rebuilt from its recorded steps, in the order
+    the pivots were found, so each pivot it refers to is already built.
+    The results are the same rationals as those of the rational loop, and
+    rows that vanish or whose lead passes lead_cap do no witness work.
     """
     rows = sorted(rows, key=lambda r: (r[1].order_floor(), r[0]))
     pivots = {}
     for _, s, wH, wG in rows:
         if s.is_zero():
             continue
-        parts = [_numerators(w.terms) for w in (wH, wG)]
-        d = lcm(s.den, *[dx for dx, _ in parts])
-        H, G = ({k: n * (d // dx) for k, n in X} for dx, X in parts)
-        f = d // s.den
+        d = s.den
         lead = s.order()
-        S = [f * s.nums.get(e, 0) for e in range(lead, s.trunc)]
+        S = [s.nums.get(e, 0) for e in range(lead, s.trunc)]
+        steps = []
         while lead <= lead_cap:
             hit = pivots.get(lead)
             if hit is None:
-                pivots[lead] = (d, S, H, G)
+                pivots[lead] = (d, S, wH, wG, steps)
                 break
-            _, P, PH, PG = hit
-            a, b = P[0], S[0]
-            if a < 0:
-                a, b = -a, -b
-            S = [a * n - b * p for n, p in zip(S, P)]
+            steps.append((lead, S[0], d))
+            S, d = _clear_lead(S, d, hit[1])
             for k, n in enumerate(S):
                 if n:
                     break
@@ -221,34 +232,36 @@ def _eliminate(rows, lead_cap):
                 break
             S = S[k:]
             lead += k
-            H = _combine_rows(H, PH, a, b)
-            G = _combine_rows(G, PG, a, b)
-            d *= a
-            g = gcd(d, *S, *H.values(), *G.values())
-            if g != 1:
-                d //= g
-                S = [n // g for n in S]
-                H, G = ({m: n // g for m, n in X.items()} for X in (H, G))
-    return {
-        lead: (_bipoly_over(H, d), _bipoly_over(G, d))
-        for lead, (d, _, H, G) in pivots.items()
-    }
+    built = {}
+    for lead, (_, _, wH, wG, steps) in pivots.items():
+        # the witness is (wH, wG) - sum f PW over its steps, f = fn / m and
+        # PW = PX / PD, summed over L = lcm of all the denominators; both
+        # components share one map, keyed (component, monomial)
+        parts = [_numerators(w.terms) for w in (wH, wG)]
+        terms = []
+        for plead, b, d in steps:
+            pd, P = pivots[plead][:2]
+            PD, PX = built[plead]
+            fn, m = b * pd, d * P[0]  # f = (b/d) / (P[0]/pd); m may be < 0
+            g = gcd(fn, m)
+            terms.append((fn // g, m // g * PD, PX))
+        L = lcm(*[dx for dx, _ in parts], *[m for _, m, _ in terms])
+        X = {(i, k): n * (L // dx) for i, (dx, part) in enumerate(parts) for k, n in part}
+        for fn, m, PX in terms:
+            c = fn * (L // m)
+            for k, n in PX.items():
+                X[k] = X.get(k, 0) - c * n
+        g = gcd(L, *X.values())
+        built[lead] = (L // g, {k: n // g for k, n in X.items() if n})
+    return {lead: _witness_pair(X, D) for lead, (D, X) in built.items()}
 
 
-def _combine_rows(X, PX, a, b):
-    """a X - b PX on integer numerator maps."""
-    out = {k: a * n for k, n in X.items()}
-    for k, n in PX.items():
-        v = out.get(k, 0) - b * n
-        if v:
-            out[k] = v
-        else:
-            del out[k]
-    return out
-
-
-def _bipoly_over(X, d) -> BiPoly:
-    return BiPoly({k: rat(n, d) for k, n in X.items()}, _clean=True)
+def _witness_pair(X, d):
+    """(wH, wG) from the numerators X, keyed (component, monomial), over d."""
+    H, G = {}, {}
+    for (i, k), n in X.items():
+        (G if i else H)[k] = rat(n, d)
+    return BiPoly(H, _clean=True), BiPoly(G, _clean=True)
 
 
 def _assert_window_filled(kind, values, all_above, decided_to):

@@ -1,8 +1,10 @@
 """Coordinate changes, term elimination, normal forms, equivalence."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from planebranch import (
     BiPoly,
@@ -26,10 +28,10 @@ from planebranch import (
 )
 from planebranch import normalform
 from planebranch.normalform import _affine_slope, _candidate_recipes, _ts_pow
-from planebranch.series import TSeries
+from planebranch.series import R1, TSeries
 from planebranch.valuation import form_witnesses
 
-from series_oracles import series_compose, series_reversion
+from series_oracles import rational_root_unit, series_compose, series_reversion
 
 
 def branch(v0, coeffs, extra=0):
@@ -125,6 +127,74 @@ class TestApplyChange:
         ch = CoordChange(r=rat("-5/3"), p=bp((2, 0, "1/7")), q=bp((0, 2, "3")))
         again = CoordChange.from_dict(ch.to_dict())
         assert again == ch
+
+
+def series_apply_change(phi, ch):
+    """Reference for apply_coordinate_change with p != 0: the triangular
+    solve on canonical TSeries.  Order by order, c_e = [t^e] R / r**e and
+    R -= c_e rho**e, with rho**e built by one truncated product per order."""
+    v0, v1, N = phi.v0, phi.v1, phi.trunc
+    r = rat(ch.r)
+    pt = bipoly_pullback(ch.p, phi).truncate(N)
+    qt = bipoly_pullback(ch.q, phi).truncate(N)
+    R = (phi.y_series().scale(r**v1) + qt).truncate(N)
+    unit = rational_root_unit(
+        TSeries.monomial(0, 1, N - v0) + pt.shift(-v0).scale(1 / r**v0), v0
+    )
+    rho = unit.shift(1).scale(r)
+    P = TSeries.monomial(0, 1, N)
+    for _ in range(v1):
+        P = (P * rho).truncate(N)
+    terms = {}
+    for e in range(v1, N):
+        ce = R.coeff(e)
+        if ce != 0:
+            terms[e] = ce / r**e
+            R = R - P.scale(terms[e])
+        P = (P * rho).truncate(N)
+    assert R.is_zero()
+    return PuiseuxParam(v0, terms, extra=phi.extra, label=phi.label)
+
+
+R_POOL = [rat(c) for c in ("1", "-1", "3", "-2", "1/2", "-2/3", "5/4")]
+coeffs = st.builds(rat, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+
+
+@st.composite
+def general_changes(draw):
+    """A small branch and a change with p != 0: r from R_POOL, p and q with
+    one to three monomials of value > v0 and > v1 below the truncation."""
+    v0 = draw(st.integers(3, 6))
+    v1 = draw(st.integers(v0 + 1, v0 + 4).filter(lambda e: e % v0))
+    tail = draw(st.dictionaries(st.integers(v1 + 1, v1 + 9), coeffs, max_size=2))
+    assume(gcd(v0, v1, *tail) == 1)
+    phi = PuiseuxParam(v0, {v1: R1, **tail}, extra=draw(st.integers(0, 3)))
+    N = phi.trunc
+
+    def poly(above):
+        monomials = [
+            (a, b)
+            for a in range(N // v0 + 1)
+            for b in range(3)
+            if above < a * v0 + b * v1 < N
+        ]
+        picks = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True))
+        return BiPoly({m: draw(coeffs) for m in picks})
+
+    p, q = poly(v0), poly(v1)
+    assume(not bipoly_pullback(p, phi).truncate(N).is_zero())
+    return phi, CoordChange(r=draw(st.sampled_from(R_POOL)), p=p, q=q)
+
+
+class TestApplyChangeAgainstSeriesSolve:
+    @settings(deadline=None, max_examples=100)
+    @given(general_changes())
+    def test_matches_series_solve(self, phi_ch):
+        phi, ch = phi_ch
+        got = apply_coordinate_change(phi, ch)
+        want = series_apply_change(phi, ch)
+        assert got == want
+        assert (got.to_dict(), got.extra, got.trunc) == (want.to_dict(), want.extra, want.trunc)
 
 
 # -- single-term elimination ---------------------------------------------

@@ -118,14 +118,22 @@ class TestOrders:
         assert o != 16
 
     def test_marker_comparisons(self):
+        # the true order o is >= 10; None marks an undecidable comparison
         o = AboveTruncation(10)
-        assert o > 9
-        assert o >= 10
         assert not (o < 5)
-        with pytest.raises(ValueError):
-            o > 10  # undecidable: the true order may be 10 or larger
-        with pytest.raises(ValueError):
-            o < 11
+        table = {
+            9: (True, True, False, False),
+            10: (None, True, False, None),  # o may be exactly 10
+            11: (None, None, None, None),
+        }
+        for n, expected in table.items():
+            compares = [lambda: o > n, lambda: o >= n, lambda: o < n, lambda: o <= n]
+            for compare, want in zip(compares, expected):
+                if want is None:
+                    with pytest.raises(ValueError):
+                        compare()
+                else:
+                    assert compare() is want, n
 
     def test_coeff_beyond_truncation_refuses(self):
         with pytest.raises(ValueError):

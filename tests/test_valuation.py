@@ -161,6 +161,20 @@ class TestElimination:
             assert_same_pivots(_form_rows(phi, kind, cap), cap - 1)
 
 
+class TestLongStepChains:
+    @pytest.mark.parametrize("kind", ["Gamma", "Lambda", "Lambda2", "LambdaPrime"])
+    def test_genus_two_multiplicity_eight(self, kind):
+        # semigroup <8, 12, 25>, conductor 80: about 490 row steps per
+        # differential class and rows reduced up to 15 times in a row, well
+        # beyond what the random branches of TestElimination reach
+        phi = branch(8, e12=1, e13="1/3", e15=-2, e17="5/7")
+        if kind == "Gamma":
+            assert_same_pivots(_function_rows(phi, phi.trunc - 1), phi.trunc - 1)
+        else:
+            cap = phi.semigroup.conductor + 2 * phi.v0
+            assert_same_pivots(_form_rows(phi, kind, cap), cap - 1)
+
+
 class TestDifferentialValues:
     def test_basic_forms(self):
         phi = branch(7, e8=1, e10=1)
