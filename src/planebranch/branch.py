@@ -11,6 +11,13 @@ decision below N and no normal-form coefficient.
 If the leading y-coefficient is not 1 the constructor rescales y by it
 (the coordinate change (X, Y/a) in the plane); the factor is kept on the
 instance as ``lead_rescale`` for introspection.
+
+A branch keeps two lazily built values.  ``y_power`` serves every
+pullback from one ladder of powers of y cut at N (x needs no series: it
+is t**v0, so X**a is a shift).  ``_lambda`` is the Λ ValueSet, set by
+``valuation.lambda_set``: the Λ⁽²⁾ and Λ′ thresholds and the Zariski
+invariant are all read from Λ, so asking for them on one branch
+eliminates Λ once.  Nothing else is memoised on the branch.
 """
 
 from __future__ import annotations
@@ -40,9 +47,8 @@ class PuiseuxParam:
         "semigroup",
         "lead_rescale",
         "label",
-        "_x",
-        "_y",
-        "_cache",
+        "_ypow",
+        "_lambda",
     )
 
     def __init__(self, v0: int, terms, extra: int = 0, label=None):
@@ -91,21 +97,29 @@ class PuiseuxParam:
         self.trunc = self.semigroup.conductor + 2 * v0 + 1 + extra
         self.terms = {e: c for e, c in cleaned.items() if e < self.trunc}
         self.label = label
-        self._x = None
-        self._y = None
-        self._cache = {}
+        self._ypow = None
+        self._lambda = None
 
     # -- series views -------------------------------------------------
 
-    def x_series(self) -> TSeries:
-        if self._x is None:
-            self._x = TSeries.monomial(self.v0, 1, self.trunc)
-        return self._x
-
     def y_series(self) -> TSeries:
-        if self._y is None:
-            self._y = TSeries(self.trunc, self.terms)
-        return self._y
+        return self.y_power(1)
+
+    def y_power(self, b: int) -> TSeries:
+        """y(t)**b through t**(N - 1), from the branch's own power ladder.
+
+        The ladder [1, y, y**2, ...] grows by one product with y per new
+        rung, each cut at N, and is kept for the life of the branch: every
+        pullback of X**a Y**b is ``y_power(b).shift(a * v0)``, since x is
+        t**v0.
+        """
+        ladder = self._ypow
+        if ladder is None:
+            N = self.trunc
+            ladder = self._ypow = [TSeries.monomial(0, 1, N), TSeries(N, self.terms)]
+        while len(ladder) <= b:
+            ladder.append((ladder[-1] * ladder[1]).truncate(self.trunc))
+        return ladder[b]
 
     def support(self):
         return sorted(self.terms)

@@ -61,8 +61,6 @@ def _parse_ints(text: str, what: str):
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise BranchInputError(f"{what} must be comma-separated integers: {text!r}")
-    if not values:
-        raise BranchInputError(f"{what} must not be empty")
     return values
 
 
@@ -81,7 +79,7 @@ def _load_branch(path: str, extra: int) -> PuiseuxParam:
 
 
 def cmd_semigroup(args) -> int:
-    if args.generators:
+    if args.generators is not None:
         gens = _parse_ints(args.generators, "--generators")
         try:
             beta = char_exponents_from_generators(gens)
@@ -170,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--pretty", action="store_true", help="indented JSON output instead"
     )
-    common.add_argument(
+    # only the subcommands that build a branch from a file take --trunc-extra
+    branch_input = argparse.ArgumentParser(add_help=False, parents=[common])
+    branch_input.add_argument(
         "--trunc-extra",
         type=int,
         default=0,
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_semigroup)
 
     p = sub.add_parser(
-        "lambda", parents=[common], help="differential value sets of a branch"
+        "lambda", parents=[branch_input], help="differential value sets of a branch"
     )
     p.add_argument("branch", help="branch JSON file, or - for stdin")
     p.add_argument(
@@ -205,13 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser(
-        "normalform", parents=[common], help="reduce a branch to its normal form"
+        "normalform", parents=[branch_input], help="reduce a branch to its normal form"
     )
     p.add_argument("branch", help="branch JSON file, or - for stdin")
     p.set_defaults(func=cmd_normalform)
 
     p = sub.add_parser(
-        "equiv", parents=[common], help="decide analytic equivalence of two branches"
+        "equiv", parents=[branch_input], help="decide analytic equivalence of two branches"
     )
     p.add_argument("branch1", help="first branch JSON file")
     p.add_argument("branch2", help="second branch JSON file, or - for stdin")
@@ -239,8 +239,6 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except (ValueError, OSError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
-    except json.JSONDecodeError as exc:
-        return _fail(f"invalid JSON: {exc}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,9 @@ works over the lcm of the two denominators.  Rationals are built only at
 the boundaries (``terms``, ``coeff``).  BiPoly holds rationals directly.
 The two triangular eliminations (``valuation._eliminate`` and the solve in
 ``normalform.apply_coordinate_change``) work on bare numerator lists and
-share one fraction-free row step, ``_clear_lead``.
+share one fraction-free row step, ``_clear_lead``.  ``bipoly_pullback``
+runs on ints too: it sums the branch's own y-powers, shifted by the
+x-degree, over one common denominator, and multiplies no series itself.
 
 The rational type is gmpy2.mpq when gmpy2 is installed and
 fractions.Fraction otherwise; both print as "p/q" / "n", which is the
@@ -432,10 +434,6 @@ class BiPoly:
             return BiPoly()
         return BiPoly({k: c * v for k, v in self.terms.items()}, _clean=True)
 
-    def in_max_ideal(self) -> bool:
-        """No constant term, i.e. the polynomial lies in (X, Y)."""
-        return (0, 0) not in self.terms
-
     def in_max_ideal_sq(self) -> bool:
         """Every monomial has total degree >= 2, i.e. lies in (X, Y)^2."""
         return all(a + b >= 2 for (a, b) in self.terms)
@@ -469,36 +467,23 @@ class BiPoly:
 
 
 def bipoly_pullback(h: BiPoly, phi) -> TSeries:
-    """Substitute a parametrized curve into h: returns h(x(t), y(t)).
+    """h(x(t), y(t)) along the branch phi, through its working truncation N.
 
-    ``phi`` only needs x_series() / y_series() returning TSeries.  Terms are
-    grouped by Y-degree so the y-powers are built once each.  The result is
-    re-truncated to the parametrization's working order.
+    Since x is t**v0, each term c X**a Y**b is c t**(a v0) y**b, with y**b
+    read from the branch's ladder ``phi.y_power(b)``; terms of value
+    a v0 + b v1 >= N cannot reach below N and are skipped.  The rest are
+    summed in one integer pass: every rung's numerators, scaled by c, over
+    the lcm of all the denominators, then one content gcd.
     """
-    x = phi.x_series()
-    y = phi.y_series()
-    N = min(x.trunc, y.trunc)
-    by_b = {}
-    for (a, b), c in h.terms.items():
-        by_b.setdefault(b, []).append((a, c))
-    acc = TSeries(N)
-    ypow = TSeries.monomial(0, 1, N)
-    xpows = {}
-
-    def xpower(a):
-        if a == 0:
-            return TSeries.monomial(0, 1, N)
-        if a not in xpows:
-            xpows[a] = (xpower(a - 1) * x).truncate(N)
-        return xpows[a]
-
-    cur_b = 0
-    for b in sorted(by_b):
-        for _ in range(b - cur_b):
-            ypow = (ypow * y).truncate(N)
-        cur_b = b
-        row = TSeries(N)
-        for a, c in sorted(by_b[b]):
-            row = row + xpower(a).truncate(N).scale(c)
-        acc = acc + (row * ypow).truncate(N)
-    return acc.truncate(N)
+    N, v0, v1 = phi.trunc, phi.v0, phi.v1
+    parts = [(a * v0, phi.y_power(b), c) for (a, b), c in h.terms.items()
+             if a * v0 + b * v1 < N]
+    D = lcm(*[s.den * c.denominator for _, s, c in parts])
+    acc = {}
+    for k, s, c in parts:
+        f = c.numerator * (D // (s.den * c.denominator))
+        for e, n in s.nums.items():
+            e += k
+            if e < N:
+                acc[e] = acc.get(e, 0) + f * n
+    return TSeries._over(N, D, {e: n for e, n in acc.items() if n})

@@ -22,6 +22,13 @@ each step records its rational factor, and the witnesses of the pivots
 alone are rebuilt from those factors once the rows are reduced (see
 _eliminate).
 
+The rows are the pulled-back monomials X^a Y^b, each the branch's own
+y-power ``phi.y_power(b)`` shifted by a v0, so valuations and
+``bipoly_pullback`` share one ladder of powers of y.  Of the value sets
+only Lambda is memoised on the branch: the Lambda2 and LambdaPrime
+thresholds and the Zariski invariant all read it, and callers ask for
+each of those once per branch.
+
 The smallest element of Lambda outside Gamma, minus v0, is the Zariski
 invariant lambda; branches whose Lambda adds nothing to the semigroup
 form the monomial class (equivalent to (t^v0, t^v1)) and get a sentinel.
@@ -161,20 +168,6 @@ def integrand(phi: PuiseuxParam, H: BiPoly, G: BiPoly) -> TSeries:
     return acc
 
 
-def _y_power(phi: PuiseuxParam, b: int) -> TSeries:
-    cache = phi._cache.setdefault("ypow", {0: TSeries.monomial(0, 1, phi.trunc)})
-    if b not in cache:
-        top = max(cache)
-        for k in range(top + 1, b + 1):
-            cache[k] = cache[k - 1] * phi.y_series()
-    return cache[b]
-
-
-def _monomial_pullback(phi: PuiseuxParam, a: int, b: int) -> TSeries:
-    """Pullback of X^a Y^b: exact shift of a cached y-power (x is t^v0)."""
-    return _y_power(phi, b).shift(a * phi.v0)
-
-
 def _eliminate(rows, lead_cap):
     """Greedy Gaussian elimination by leading exponent, on integer rows.
 
@@ -291,7 +284,7 @@ def _function_rows(phi: PuiseuxParam, top: int) -> list:
             if a == 0 and b == 0:
                 continue
             key = (a * v0 + b * v1, a, b)
-            rows.append((key, _monomial_pullback(phi, a, b).truncate(top + 1),
+            rows.append((key, phi.y_power(b).shift(a * v0).truncate(top + 1),
                          BiPoly.monomial(a, b), BiPoly.zero()))
     return rows
 
@@ -302,8 +295,6 @@ def semigroup_of_values(phi: PuiseuxParam) -> ValueSet:
     Cross-checked in full against the combinatorial membership table of
     the semigroup derived from the characteristic exponents.
     """
-    if "gamma_vs" in phi._cache:
-        return phi._cache["gamma_vs"]
     sg = phi.semigroup
     bound = phi.trunc - 1
     values = function_witnesses(phi, bound)
@@ -314,15 +305,13 @@ def semigroup_of_values(phi: PuiseuxParam) -> ValueSet:
                 f"table says {sg.contains(w)}, elimination says {w in values}"
             )
     finite = [w for w in values if w < sg.conductor]
-    vs = ValueSet(
+    return ValueSet(
         kind="Gamma",
         finite_part=finite,
         all_above=sg.conductor,
         witnesses=values,
         decided_to=bound,
     )
-    phi._cache["gamma_vs"] = vs
-    return vs
 
 
 _KIND_FILTERS = {
@@ -363,13 +352,13 @@ def _form_rows(phi: PuiseuxParam, kind: str, top: int) -> list:
         for b in range((top - a * v0) // v1 + 1):
             base = a * v0 + b * v1
             if filt["dX"](a, b) and base + v0 <= top:
-                integ = _monomial_pullback(phi, a, b).truncate(top - v0 + 1)
+                integ = phi.y_power(b).shift(a * v0).truncate(top - v0 + 1)
                 rows.append(((base + v0, a, b, 0), integ.shift(v0 - 1).scale(v0),
                              BiPoly.monomial(a, b), BiPoly.zero()))
             if filt["dY"](a, b) and base + v1 <= top:
                 # each factor is cut where the other's order still leaves the
                 # product trusted through t**(top - 1)
-                integ = (_monomial_pullback(phi, a, b).truncate(top - v1 + 1)
+                integ = (phi.y_power(b).shift(a * v0).truncate(top - v1 + 1)
                          * yprime.truncate(top - base))
                 rows.append(((base + v1, a, b, 1), integ,
                              BiPoly.zero(), BiPoly.monomial(a, b)))
@@ -382,12 +371,13 @@ def lambda_set(phi: PuiseuxParam, kind: str = "Lambda") -> ValueSet:
     The witness combinations are produced by elimination over monomial
     forms X^a Y^b dX / X^a Y^b dY filtered by the class constraints; the
     basis is complete for every value decided below the cap c + 2 v0.
+    Lambda is computed once per branch and kept on it; the other kinds are
+    recomputed on each call.
     """
     if kind not in _KIND_FILTERS:
         raise ValueError(f"unknown value-set kind {kind!r}")
-    cache_key = ("lambda_vs", kind)
-    if cache_key in phi._cache:
-        return phi._cache[cache_key]
+    if kind == "Lambda" and phi._lambda is not None:
+        return phi._lambda
     v0 = phi.v0
     c = phi.semigroup.conductor
     cap = c + 2 * v0
@@ -419,18 +409,14 @@ def lambda_set(phi: PuiseuxParam, kind: str = "Lambda") -> ValueSet:
             got = value_of_differential(phi, values[w])
             if got != w:
                 raise InternalError(f"witness for differential value {w} attains {got}")
-    phi._cache[cache_key] = vs
+        phi._lambda = vs
     return vs
 
 
 def _lambda_gaps(phi: PuiseuxParam):
     """Sorted differential values outside the semigroup (below the conductor)."""
-    key = "lambda_gaps"
-    if key not in phi._cache:
-        vs = lambda_set(phi, "Lambda")
-        sg = phi.semigroup
-        phi._cache[key] = tuple(w for w in vs.finite_part if not sg.contains(w))
-    return phi._cache[key]
+    sg = phi.semigroup
+    return tuple(w for w in lambda_set(phi, "Lambda").finite_part if not sg.contains(w))
 
 
 def zariski_invariant(phi: PuiseuxParam):

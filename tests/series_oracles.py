@@ -3,9 +3,15 @@
 Each works coefficient by coefficient on the rational ``terms`` of a
 ``TSeries`` and builds its result through the public constructor, so it
 shares no arithmetic with the integer kernels it is compared against.
+The Hypothesis strategies at the end draw the inputs they are compared on.
 """
 
-from planebranch.series import R0, R1, TSeries
+from math import gcd
+
+from hypothesis import assume, strategies as st
+
+from planebranch.branch import PuiseuxParam
+from planebranch.series import R0, R1, TSeries, rat
 
 
 def rational_root_unit(w: TSeries, n: int) -> TSeries:
@@ -56,6 +62,25 @@ def _rational_product(a: dict, b: dict, trunc: int) -> dict:
             if e1 + e2 < trunc:
                 out[e1 + e2] = out.get(e1 + e2, R0) + c1 * c2
     return out
+
+
+def rational_pullback(h, phi) -> TSeries:
+    """h(t**v0, y(t)) through phi.trunc, term by term over Q.
+
+    Each term c X**a Y**b adds c times the rational power y**b, built by
+    products of ``phi.terms``, shifted by a v0.
+    """
+    N = phi.trunc
+    out = {}
+    for (a, b), c in h.terms.items():
+        power = {0: R1}
+        for _ in range(b):
+            power = _rational_product(power, phi.terms, N)
+        for e, k in power.items():
+            e += a * phi.v0
+            if e < N:
+                out[e] = out.get(e, R0) + c * k
+    return TSeries(N, out)
 
 
 def series_reversion(s: TSeries) -> TSeries:
@@ -111,3 +136,15 @@ def series_compose(outer: TSeries, inner: TSeries) -> TSeries:
             acc[k] = acc.get(k, R0) + ot[e] * c
     return TSeries(trunc, acc)
 
+
+coeffs = st.builds(rat, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def small_branches(draw):
+    """Primitive branches with v0 3-7 and up to two terms after v1."""
+    v0 = draw(st.integers(3, 7))
+    v1 = draw(st.integers(v0 + 1, v0 + 4).filter(lambda e: e % v0))
+    tail = draw(st.dictionaries(st.integers(v1 + 1, v1 + 9), coeffs.filter(bool), max_size=2))
+    assume(gcd(v0, v1, *tail) == 1)
+    return PuiseuxParam(v0, {v1: R1, **tail})

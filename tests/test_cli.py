@@ -63,6 +63,12 @@ def test_semigroup_rejects_garbage(capsys):
     assert "comma-separated integers" in json.loads(err)["error"]
 
 
+def test_semigroup_rejects_empty_generators(capsys):
+    code, out, err = run_cli(capsys, "semigroup", "--generators", "")
+    assert code == 2
+    assert "comma-separated integers" in json.loads(err)["error"]
+
+
 def test_lambda_monomial(capsys, tmp_path):
     path = write_branch(tmp_path, "mono.json", 7, [[8, "1"]])
     code, out, err = run_cli(capsys, "lambda", path)
@@ -219,6 +225,22 @@ def test_reproduce_seed_file_override(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "reproduce", "7.2", "--seed-file", str(path))
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_reproduce_seed_file_malformed_json(capsys, tmp_path):
+    path = tmp_path / "samples.json"
+    path.write_text("{nope")
+    code, out, err = run_cli(capsys, "reproduce", "7.2", "--seed-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert "JSONDecodeError" in json.loads(err)["error"]
+
+
+def test_reproduce_rejects_trunc_extra(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "reproduce", "7.2", "--trunc-extra", "3")
+    assert exc.value.code == 2
+    assert "--trunc-extra" in capsys.readouterr().err
 
 
 def test_reproduce_unknown_id_rejected(capsys):

@@ -154,7 +154,11 @@ class TestBranchConstruction:
         assert phi.char.genus == 2
         assert phi.char.puiseux_pairs == ((2, 3), (3, 10))
         assert phi.trunc == 42 + 12 + 1
-        assert phi.x_series().terms == {6: 1}
+        y = phi.y_series()
+        N = phi.trunc
+        assert phi.y_power(0).terms == {0: 1} and phi.y_power(0).trunc == N
+        assert phi.y_power(1) == y
+        assert phi.y_power(3) == (y * y * y).truncate(N)
 
     def test_lead_rescale(self):
         from planebranch.branch import PuiseuxParam

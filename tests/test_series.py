@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planebranch.branch import PuiseuxParam
 from planebranch.series import (
     AboveTruncation,
     BiPoly,
@@ -18,10 +19,13 @@ from planebranch.series import (
 )
 
 from series_oracles import (
+    coeffs,
+    rational_pullback,
     rational_root_unit,
     series_compose,
     series_inverse_unit,
     series_reversion,
+    small_branches,
 )
 
 
@@ -360,8 +364,6 @@ class TestBiPoly:
         assert BiPoly.monomial(0, 1).in_ideal_x2_y()
         assert BiPoly.monomial(2, 0).in_ideal_x2_y()
         assert not BiPoly.monomial(1, 0).in_ideal_x2_y()
-        assert BiPoly.monomial(1, 0).in_max_ideal()
-        assert not BiPoly({(0, 0): 1}).in_max_ideal()
         assert BiPoly.zero().in_max_ideal_sq()
 
     def test_sub_cancels_to_zero(self):
@@ -390,34 +392,48 @@ class TestBiPoly:
         assert out.terms == {(2, 0): rat(1), (1, 1): rat(1), (0, 0): rat(-1)}
 
 
-class _Curve:
-    """Minimal parametrized-curve stub for pullback tests."""
-
-    def __init__(self, x, y):
-        self._x, self._y = x, y
-
-    def x_series(self):
-        return self._x
-
-    def y_series(self):
-        return self._y
+@st.composite
+def pullback_polys(draw, phi):
+    """Mixed signs and denominators, often a constant term, X-degrees whose
+    shift a v0 passes N and Y-degrees whose power vanishes below N."""
+    monomials = st.tuples(st.integers(0, phi.trunc // phi.v0 + 2), st.integers(0, 7))
+    terms = draw(st.dictionaries(monomials, coeffs, max_size=6))
+    if draw(st.booleans()):
+        terms[(0, 0)] = draw(coeffs)
+    return BiPoly(terms)
 
 
 class TestPullback:
     def test_xy_on_small_branch(self):
         # x = t^7, y = t^8 + t^10: XY pulls back to t^15 + t^17
-        phi = _Curve(S(40, e7=1), S(40, e8=1, e10=1))
+        phi = PuiseuxParam(7, {8: 1, 10: 1})
         got = bipoly_pullback(BiPoly.monomial(1, 1), phi)
+        assert got.trunc == phi.trunc == 57
         assert got.terms == {15: rat(1), 17: rat(1)}
 
     def test_pullback_is_ring_map(self):
-        phi = _Curve(S(25, e4=1), S(25, e6=1, e7="1/2"))
+        phi = PuiseuxParam(4, {6: 1, 7: "1/2"})
+        N = phi.trunc
         p = BiPoly.from_pairs([[1, 0, "2"], [0, 2, "1"]])
         q = BiPoly.from_pairs([[1, 1, "-1"], [0, 1, "3"]])
         lhs = bipoly_pullback(p * q, phi)
-        rhs = (bipoly_pullback(p, phi) * bipoly_pullback(q, phi)).truncate(25)
-        n = min(lhs.trunc, rhs.trunc)
-        assert lhs.truncate(n) == rhs.truncate(n)
+        rhs = (bipoly_pullback(p, phi) * bipoly_pullback(q, phi)).truncate(N)
+        assert lhs == rhs
         lhs2 = bipoly_pullback(p + q, phi)
         rhs2 = bipoly_pullback(p, phi) + bipoly_pullback(q, phi)
         assert lhs2 == rhs2
+
+    def test_zero_and_constant(self):
+        phi = PuiseuxParam(5, {7: 1, 9: "-2/3"})
+        assert bipoly_pullback(BiPoly.zero(), phi) == TSeries(phi.trunc)
+        assert bipoly_pullback(BiPoly({(0, 0): "-3/4"}), phi) == S(phi.trunc, e0="-3/4")
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_matches_rational_pullback(self, data):
+        phi = data.draw(small_branches())
+        h = data.draw(pullback_polys(phi))
+        got = bipoly_pullback(h, phi)
+        want = rational_pullback(h, phi)
+        assert_canonical(got)
+        assert (got.trunc, got.den, got.nums) == (want.trunc, want.den, want.nums)

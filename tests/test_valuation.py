@@ -1,10 +1,9 @@
 """Differential value sets against pinned table rows and random soundness checks."""
 
 import random
-from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from planebranch.branch import PuiseuxParam
 from planebranch.series import R1, BiPoly, TSeries, rat
@@ -23,6 +22,8 @@ from planebranch.valuation import (
     value_of_function,
     zariski_invariant,
 )
+
+from series_oracles import coeffs, small_branches
 
 
 def branch(v0, **terms):
@@ -103,9 +104,6 @@ def rational_eliminate(rows, lead_cap):
     return {lead: (wH, wG) for lead, (_, wH, wG) in pivots.items()}
 
 
-coeffs = st.builds(rat, st.integers(-9, 9), st.integers(1, 6))
-
-
 @st.composite
 def elimination_rows(draw):
     """Rows with mixed signs and denominators, unequal truncations, rational
@@ -125,15 +123,6 @@ def elimination_rows(draw):
         wG = BiPoly(draw(st.dictionaries(monomials, coeffs, max_size=3)))
         rows.append((key, s, wH, wG))
     return rows, draw(st.integers(0, 14))
-
-
-@st.composite
-def small_branches(draw):
-    v0 = draw(st.integers(3, 7))
-    v1 = draw(st.integers(v0 + 1, v0 + 4).filter(lambda e: e % v0))
-    tail = draw(st.dictionaries(st.integers(v1 + 1, v1 + 9), coeffs.filter(bool), max_size=2))
-    assume(gcd(v0, v1, *tail) == 1)
-    return PuiseuxParam(v0, {v1: R1, **tail})
 
 
 def assert_same_pivots(rows, lead_cap):
@@ -224,6 +213,24 @@ class TestLambdaSets:
         vs = lambda_set(phi, "Lambda")
         assert vs.all_above == 42
         assert zariski_invariant(phi) == 10
+
+    def test_lambda_is_eliminated_once_per_branch(self, monkeypatch):
+        import planebranch.valuation as valuation
+
+        kinds = []
+        real = valuation.form_witnesses
+
+        def counting(phi, kind, top):
+            kinds.append(kind)
+            return real(phi, kind, top)
+
+        monkeypatch.setattr(valuation, "form_witnesses", counting)
+        phi = branch(6, e9=1, e10=1, e11=1)
+        assert phi.char.genus == 2
+        for kind in ("Lambda2", "LambdaPrime", "Lambda"):
+            lambda_set(phi, kind)
+        assert zariski_invariant(phi) == 10
+        assert sorted(kinds) == ["Lambda", "Lambda2", "LambdaPrime"]
 
     def test_inclusions(self):
         phi = branch(6, e9=1, e10=1)
