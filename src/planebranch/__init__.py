@@ -7,7 +7,6 @@ from .catalog import (
     EXAMPLE_IDS,
     build_table_row,
     counterexample_change,
-    differential_gaps,
     load_samples,
     random_coordinate_change,
     run_reproduction,
@@ -27,7 +26,6 @@ from .normalform import (
     apply_coordinate_change,
     compose_changes,
     decide_equivalence,
-    dimension_report,
     ec_applicability,
     eliminate_term,
     homothety_solve,
@@ -46,7 +44,6 @@ from .series import (
     TSeries,
     bipoly_pullback,
     rat,
-    rat_str,
     series_root_unit,
 )
 from .valuation import (
@@ -54,6 +51,7 @@ from .valuation import (
     DifferentialForm,
     InternalError,
     ValueSet,
+    differential_gaps,
     lambda_set,
     s_sandwich_check,
     semigroup_of_values,
@@ -87,7 +85,6 @@ __all__ = [
     "differential_gaps",
     "compose_changes",
     "decide_equivalence",
-    "dimension_report",
     "ec_applicability",
     "eliminate_term",
     "generators_from_char_exponents",
@@ -96,7 +93,6 @@ __all__ = [
     "load_samples",
     "random_coordinate_change",
     "rat",
-    "rat_str",
     "run_reproduction",
     "s_sandwich_check",
     "semigroup_of_values",

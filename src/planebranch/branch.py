@@ -29,7 +29,7 @@ from .semigroup import (
     char_data_from_exponents,
     generators_from_char_exponents,
 )
-from .series import R0, R1, TSeries, rat, rat_str
+from .series import R0, R1, TSeries, rat
 
 
 class BranchInputError(ValueError):
@@ -142,7 +142,7 @@ class PuiseuxParam:
     def to_dict(self) -> dict:
         out = {
             "v0": self.v0,
-            "terms": [[e, rat_str(c)] for e, c in sorted(self.terms.items())],
+            "terms": [[e, str(c)] for e, c in sorted(self.terms.items())],
         }
         if self.label is not None:
             out["label"] = self.label
@@ -183,7 +183,7 @@ class PuiseuxParam:
 
     def __repr__(self):
         y = " + ".join(
-            (f"t^{e}" if c == R1 else f"({rat_str(c)})t^{e}")
+            (f"t^{e}" if c == R1 else f"({c})t^{e}")
             for e, c in sorted(self.terms.items())
         )
         return f"PuiseuxParam(t^{self.v0}, {y})"

@@ -14,7 +14,9 @@ Five subcommands cover the library surface:
 Branch inputs are UTF-8 JSON files ({"v0": ..., "terms": [[e, "c"], ...]});
 "-" reads stdin.  Output is canonical JSON on stdout (sorted keys, no
 whitespace; ``--pretty`` indents instead), so equal inputs give equal
-bytes.  Exit codes: 0 success, 1 reproduction mismatch, 2 invalid input.
+bytes.  Exit codes: 0 success, 1 reproduction mismatch, 2 invalid input,
+3 internal error (a theory-backed check failed, so no result is printed).
+Errors go to stderr as one JSON object, {"error": "..."}.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .semigroup import (
     char_exponents_from_generators,
     generators_from_char_exponents,
 )
-from .valuation import MONOMIAL_CLASS, lambda_set, zariski_invariant
+from .valuation import MONOMIAL_CLASS, InternalError, lambda_set, zariski_invariant
 
 _SET_KEYS = {
     "lambda": ("Lambda", "lambda_minus_gamma"),
@@ -49,11 +51,11 @@ def _emit(obj, pretty: bool) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = 2) -> int:
     sys.stderr.write(
         json.dumps({"error": message}, sort_keys=True, separators=(",", ":")) + "\n"
     )
-    return 2
+    return code
 
 
 def _parse_ints(text: str, what: str):
@@ -239,6 +241,8 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except (ValueError, OSError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
+    except InternalError as exc:
+        return _fail(f"InternalError: {exc}", code=3)
 
 
 if __name__ == "__main__":

@@ -51,7 +51,6 @@ from .series import (
     _clear_lead,
     bipoly_pullback,
     rat,
-    rat_str,
     series_root_unit,
 )
 from .valuation import (
@@ -77,7 +76,7 @@ class CoordChange:
     q: BiPoly
 
     def to_dict(self) -> dict:
-        return {"r": rat_str(self.r), "p": self.p.to_pairs(), "q": self.q.to_pairs()}
+        return {"r": str(self.r), "p": self.p.to_pairs(), "q": self.q.to_pairs()}
 
     @classmethod
     def from_dict(cls, data) -> "CoordChange":
@@ -86,14 +85,6 @@ class CoordChange:
             p=BiPoly.from_pairs(data.get("p", [])),
             q=BiPoly.from_pairs(data.get("q", [])),
         )
-
-    @classmethod
-    def identity(cls) -> "CoordChange":
-        return cls(r=R1, p=BiPoly.zero(), q=BiPoly.zero())
-
-    @classmethod
-    def homothety(cls, r) -> "CoordChange":
-        return cls(r=rat(r), p=BiPoly.zero(), q=BiPoly.zero())
 
 
 def compose_changes(first: CoordChange, second: CoordChange, v0: int, v1: int) -> CoordChange:
@@ -537,14 +528,6 @@ def to_normal_form(phi: PuiseuxParam) -> NormalFormResult:
     )
 
 
-def dimension_report(result: NormalFormResult) -> dict:
-    """Moduli count of the stratum: the normal form's free coefficient slots."""
-    return {
-        "upper_bound": result.dimension_bound,
-        "free_coefficients": list(result.free_exponents),
-    }
-
-
 # -- homothety and equivalence ------------------------------------------
 
 
@@ -611,7 +594,7 @@ class EquivVerdict:
         }
         if self.homothety is not None:
             g, w = self.homothety
-            out["homothety"] = {"g": g, "w": rat_str(w)}
+            out["homothety"] = {"g": g, "w": str(w)}
         return out
 
 

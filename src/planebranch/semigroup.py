@@ -56,10 +56,6 @@ class NumericalSemigroup:
         self._table = table[: bound + 1]
         self.gaps = tuple(v for v in range(1, conductor) if not table[v])
 
-    @property
-    def multiplicity(self) -> int:
-        return self.generators[0]
-
     def contains(self, v: int) -> bool:
         if v < 0:
             return False
@@ -69,9 +65,6 @@ class NumericalSemigroup:
 
     def __contains__(self, v) -> bool:
         return self.contains(v)
-
-    def gaps_above(self, threshold: int):
-        return [g for g in self.gaps if g > threshold]
 
     def __eq__(self, other):
         if not isinstance(other, NumericalSemigroup):
@@ -206,16 +199,3 @@ def validate_plane_branch_semigroup(gens) -> bool:
     except (TypeError, ValueError):
         return False
     return _plane_branch_checks(v)[0]
-
-
-def conductor_formula(gens) -> int:
-    """Closed form sum((n_i - 1) v_i) - v_0 + 1 for plane branch semigroups."""
-    v = tuple(gens)
-    e = [v[0]]
-    for g in v[1:]:
-        e.append(math.gcd(e[-1], g))
-    total = 0
-    for i in range(1, len(v)):
-        n_i = e[i - 1] // e[i]
-        total += (n_i - 1) * v[i]
-    return total - v[0] + 1

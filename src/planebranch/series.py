@@ -19,38 +19,21 @@ share one fraction-free row step, ``_clear_lead``.  ``bipoly_pullback``
 runs on ints too: it sums the branch's own y-powers, shifted by the
 x-degree, over one common denominator, and multiplies no series itself.
 
-The rational type is gmpy2.mpq when gmpy2 is installed and
-fractions.Fraction otherwise; both print as "p/q" / "n", which is the
-on-disk format everywhere.  Whether mpq is still faster now that series
-arithmetic runs on ints has not been measured.
+The one rational type is fractions.Fraction, exported as ``rat``; it
+prints as "p/q" / "n", which is the on-disk format everywhere.  With the
+series, the eliminations, the pullback and the solve all on ints, a
+rational is built only at those boundaries and in BiPoly.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-try:
-    from gmpy2 import mpq as _RAT
-
-    RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _RAT
-
-    RAT_BACKEND = "fractions"
-
-
-def rat(value, den=None):
-    """Coerce ``value`` (int, "p/q" string, or rational) to the backend type."""
-    if den is not None:
-        return _RAT(value, den)
-    return _RAT(value)
-
-
-def rat_str(x) -> str:
-    """Canonical decimal-free rendering: "5", "-2", "3/4"."""
-    return str(x)
-
+# rat(x) takes an int, a "p/q" string or a rational; rat(n, d) is n / d
+rat = Fraction
+RAT_BACKEND = "fractions"
 
 R0 = rat(0)
 R1 = rat(1)
@@ -177,21 +160,17 @@ class TSeries:
     def monomial(cls, exp: int, coeff, trunc: int) -> "TSeries":
         return cls(trunc, {exp: coeff})
 
-    @classmethod
-    def zero(cls, trunc: int) -> "TSeries":
-        return cls(trunc)
-
     @property
     def terms(self) -> dict:
         """The coefficients as a new map exponent -> nonzero rational."""
         d = self.den
-        return {e: _RAT(n, d) for e, n in self.nums.items()}
+        return {e: rat(n, d) for e, n in self.nums.items()}
 
     def coeff(self, e: int):
         if e >= self.trunc:
             raise ValueError(f"coefficient at {e} is beyond truncation {self.trunc}")
         n = self.nums.get(e)
-        return R0 if n is None else _RAT(n, self.den)
+        return R0 if n is None else rat(n, self.den)
 
     def order(self):
         """Exact order, or AboveTruncation(trunc) if no terms are visible."""
@@ -290,7 +269,7 @@ class TSeries:
     def __repr__(self):
         if not self.nums:
             return f"TSeries(O(t^{self.trunc}))"
-        bits = " + ".join(f"({rat_str(c)})t^{e}" for e, c in sorted(self.terms.items()))
+        bits = " + ".join(f"({c})t^{e}" for e, c in sorted(self.terms.items()))
         return f"TSeries({bits} + O(t^{self.trunc}))"
 
 
@@ -376,7 +355,7 @@ class BiPoly:
         return cls({k: v for k, v in out.items() if v != 0}, _clean=True)
 
     def to_pairs(self):
-        return [[a, b, rat_str(c)] for (a, b), c in sorted(self.terms.items())]
+        return [[a, b, str(c)] for (a, b), c in sorted(self.terms.items())]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -434,14 +413,6 @@ class BiPoly:
             return BiPoly()
         return BiPoly({k: c * v for k, v in self.terms.items()}, _clean=True)
 
-    def in_max_ideal_sq(self) -> bool:
-        """Every monomial has total degree >= 2, i.e. lies in (X, Y)^2."""
-        return all(a + b >= 2 for (a, b) in self.terms)
-
-    def in_ideal_x2_y(self) -> bool:
-        """Membership in the ideal (X^2, Y): every monomial divisible by X^2 or Y."""
-        return all(a >= 2 or b >= 1 for (a, b) in self.terms)
-
     def substitute(self, px: "BiPoly", py: "BiPoly") -> "BiPoly":
         """Plug X = px, Y = py (polynomial composition, exact)."""
         xa = {0: BiPoly.monomial(0, 0, 1)}
@@ -461,7 +432,7 @@ class BiPoly:
         if not self.terms:
             return "BiPoly(0)"
         bits = " + ".join(
-            f"({rat_str(c)})X^{a}Y^{b}" for (a, b), c in sorted(self.terms.items())
+            f"({c})X^{a}Y^{b}" for (a, b), c in sorted(self.terms.items())
         )
         return f"BiPoly({bits})"
 

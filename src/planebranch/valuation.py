@@ -16,7 +16,9 @@ Four sets are computed, each with one explicit witness per attained value:
 
 Each set is produced by Gaussian elimination over the pulled-back basis
 monomials, ordered by leading t-exponent, with the combination witnessing
-each pivot.  Everything is exact.  The elimination is fraction-free: each
+each pivot.  The class constraints are written once, as the monomial
+filters of ``_KIND_FILTERS`` that choose the rows, so every witness lies in
+its class by construction.  Everything is exact.  The elimination is fraction-free: each
 row is integer numerators over one denominator and carries no witness;
 each step records its rational factor, and the witnesses of the pivots
 alone are rebuilt from those factors once the rows are reduced (see
@@ -29,8 +31,8 @@ only Lambda is memoised on the branch: the Lambda2 and LambdaPrime
 thresholds and the Zariski invariant all read it, and callers ask for
 each of those once per branch.
 
-The smallest element of Lambda outside Gamma, minus v0, is the Zariski
-invariant lambda; branches whose Lambda adds nothing to the semigroup
+The smallest element of Lambda outside Gamma (``differential_gaps``),
+minus v0, is the Zariski invariant lambda; branches whose Lambda adds nothing to the semigroup
 form the monomial class (equivalent to (t^v0, t^v1)) and get a sentinel.
 """
 
@@ -82,19 +84,8 @@ class DifferentialForm:
     H: BiPoly
     G: BiPoly
 
-    def in_omega2_sq(self) -> bool:
-        return self.H.in_max_ideal_sq() and self.G.in_max_ideal_sq()
-
-    def in_omega_prime(self) -> bool:
-        return self.H.in_max_ideal_sq() and self.G.in_ideal_x2_y()
-
     def to_dict(self) -> dict:
         return {"dX": self.H.to_pairs(), "dY": self.G.to_pairs()}
-
-    @classmethod
-    def from_dict(cls, data) -> "DifferentialForm":
-        return cls(H=BiPoly.from_pairs(data.get("dX", [])),
-                   G=BiPoly.from_pairs(data.get("dY", [])))
 
 
 class ValueSet:
@@ -389,7 +380,7 @@ def lambda_set(phi: PuiseuxParam, kind: str = "Lambda") -> ValueSet:
         # everything from c + v0 on is attained once some differential value
         # escapes the semigroup; the monomial class only guarantees c + 2 v0
         # (realized by X * h running over function values >= c).
-        lam = _lambda_gaps(phi)
+        lam = differential_gaps(phi)
         all_above = c + v0 if lam else c + 2 * v0
     _assert_window_filled(kind, values, all_above, cap)
     finite = [w for w in values if w < all_above]
@@ -413,10 +404,10 @@ def lambda_set(phi: PuiseuxParam, kind: str = "Lambda") -> ValueSet:
     return vs
 
 
-def _lambda_gaps(phi: PuiseuxParam):
-    """Sorted differential values outside the semigroup (below the conductor)."""
+def differential_gaps(phi: PuiseuxParam) -> list:
+    """Lambda minus Gamma: the sorted differential values outside the semigroup."""
     sg = phi.semigroup
-    return tuple(w for w in lambda_set(phi, "Lambda").finite_part if not sg.contains(w))
+    return [w for w in lambda_set(phi, "Lambda").finite_part if not sg.contains(w)]
 
 
 def zariski_invariant(phi: PuiseuxParam):
@@ -426,7 +417,7 @@ def zariski_invariant(phi: PuiseuxParam):
     equal to the invariant), the independent formula through the form
     v0 X dY - v1 Y dX is asserted to agree.
     """
-    gaps = _lambda_gaps(phi)
+    gaps = differential_gaps(phi)
     if not gaps:
         return MONOMIAL_CLASS
     lam = gaps[0] - phi.v0

@@ -20,7 +20,6 @@ from planebranch import (
     counterexample_change,
     decide_equivalence,
     differential_gaps,
-    dimension_report,
     eliminate_term,
     homothety_solve,
     lambda_set,
@@ -370,10 +369,10 @@ def test_check_5_total_budget():
 def test_check_6_dimension_reports():
     data = load_samples()
     phi = build_table_row("7.2", 1, data["7.2"]["rows"][0]["samples"])
-    rep = dimension_report(to_normal_form(phi))
-    assert rep["upper_bound"] == 4
-    assert rep["free_coefficients"] == [11, 12, 13, 20]
+    res = to_normal_form(phi)
+    assert res.dimension_bound == 4
+    assert res.free_exponents == [11, 12, 13, 20]
     phi = build_table_row("7.1", 1, data["7.1"]["rows"][0]["samples"])
-    rep = dimension_report(to_normal_form(phi))
-    assert rep["upper_bound"] == 3
-    assert rep["free_coefficients"] == [11, 14, 17]
+    res = to_normal_form(phi)
+    assert res.dimension_bound == 3
+    assert res.free_exponents == [11, 14, 17]

@@ -270,6 +270,23 @@ def test_branch_file_invalid_branch(capsys, tmp_path):
     assert "error" in json.loads(err)
 
 
+def test_internal_error_exits_3(capsys, tmp_path, monkeypatch):
+    # 1 means "reproduction mismatch", so a failed internal check has its own code
+    from planebranch import InternalError
+
+    def broken(phi):
+        raise InternalError("reduction changed the differential value set")
+
+    monkeypatch.setattr("planebranch.cli.to_normal_form", broken)
+    path = write_branch(tmp_path, "b.json", 7, [[8, "1"], [10, "1"]])
+    code, out, err = run_cli(capsys, "normalform", path)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "InternalError: reduction changed the differential value set"
+    }
+
+
 def test_trunc_extra_accepted(capsys, tmp_path):
     path = write_branch(tmp_path, "b.json", 7, [[8, "1"], [20, "1"]])
     code, out, _ = run_cli(capsys, "lambda", path, "--trunc-extra", "10")

@@ -16,7 +16,6 @@ from planebranch import (
     bipoly_pullback,
     compose_changes,
     decide_equivalence,
-    dimension_report,
     ec_applicability,
     eliminate_term,
     homothety_solve,
@@ -42,6 +41,11 @@ def bp(*triples):
     return BiPoly.from_pairs([[a, b, str(c)] for a, b, c in triples])
 
 
+def homothety(r):
+    """The change (r, 0, 0); homothety(1) is the identity."""
+    return CoordChange(r=rat(r), p=BiPoly(), q=BiPoly())
+
+
 # -- applying coordinate changes ----------------------------------------
 
 
@@ -49,13 +53,13 @@ class TestApplyChange:
     def test_homothety_rescales_coefficients(self):
         # r=2 on y = t^8 + 2 t^10: new a_i = old a_i * r^(v1 - i)
         phi = branch(7, {8: 1, 10: 2})
-        out = apply_coordinate_change(phi, CoordChange.homothety(2))
+        out = apply_coordinate_change(phi, homothety(2))
         assert out.terms == {8: rat(1), 10: rat("1/2")}
 
     def test_homothety_general_exponent_law(self):
         phi = branch(7, {8: 1, 10: 1, 12: 3})
         r = rat("-3/2")
-        out = apply_coordinate_change(phi, CoordChange.homothety(r))
+        out = apply_coordinate_change(phi, homothety(r))
         for e, c in phi.terms.items():
             assert out.terms[e] == c * r ** (8 - e)
 
@@ -96,7 +100,7 @@ class TestApplyChange:
     def test_rejects_bad_changes(self):
         phi = branch(7, {8: 1})
         with pytest.raises(ValueError):
-            apply_coordinate_change(phi, CoordChange.homothety(0))
+            apply_coordinate_change(phi, homothety(0))
         with pytest.raises(ValueError):
             # p of value v0 exactly (not > v0)
             apply_coordinate_change(
@@ -118,7 +122,7 @@ class TestApplyChange:
 
     def test_compose_with_identity(self):
         ch = CoordChange(r=rat(2), p=bp((2, 0, "1")), q=bp((0, 2, "3")))
-        ident = CoordChange.identity()
+        ident = homothety(1)
         for left, right in ((ident, ch), (ch, ident)):
             both = compose_changes(left, right, 4, 6)
             assert both.r == ch.r and both.p == ch.p and both.q == ch.q
@@ -377,16 +381,14 @@ class TestToNormalForm:
         phi = branch(6, {9: 1, 10: 1})
         res = to_normal_form(phi)
         assert res.lam == 10
-        rep = dimension_report(res)
-        assert rep["upper_bound"] == len(rep["free_coefficients"])
-        assert rep["upper_bound"] == 3
+        assert res.dimension_bound == len(res.free_exponents)
+        assert res.dimension_bound == 3
 
     def test_seven_eight_generic_dimension(self):
         phi = branch(7, {8: 1, 10: 1, 11: 1, 12: 3})
         res = to_normal_form(phi)
-        rep = dimension_report(res)
-        assert rep["free_coefficients"] == [11, 12, 13, 20]
-        assert rep["upper_bound"] == 4
+        assert res.free_exponents == [11, 12, 13, 20]
+        assert res.dimension_bound == 4
 
     def test_idempotence_up_to_homothety(self):
         for coeffs in ({8: 1, 10: 1, 14: 2, 17: 5}, {9: 1, 13: 1, 16: 1}):
@@ -414,7 +416,7 @@ class TestHomothety:
     def test_spec_witness_example(self):
         a = {8: rat(1), 10: rat(1), 12: rat(3)}
         phi = PuiseuxParam(7, dict(a))
-        img = apply_coordinate_change(phi, CoordChange.homothety(2))
+        img = apply_coordinate_change(phi, homothety(2))
         got = homothety_solve(a, img.terms, 8)
         assert got == (2, rat(4))
 
@@ -485,7 +487,7 @@ class TestDecideEquivalence:
 
     def test_verdict_serialization(self):
         phi = branch(7, {8: 1, 10: 1, 12: 3})
-        img = apply_coordinate_change(phi, CoordChange.homothety(2))
+        img = apply_coordinate_change(phi, homothety(2))
         v = decide_equivalence(phi, img)
         d = v.to_dict()
         assert d["verdict"] == "equivalent"

@@ -1,6 +1,7 @@
 """Differential value sets against pinned table rows and random soundness checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,20 +179,6 @@ class TestDifferentialValues:
         om = DifferentialForm(H=BiPoly.monomial(0, 1, -8), G=BiPoly.monomial(1, 0, 7))
         assert value_of_differential(phi, om) == 17
 
-    def test_class_predicates(self):
-        assert DifferentialForm(
-            H=BiPoly.monomial(1, 1), G=BiPoly.monomial(2, 0)
-        ).in_omega2_sq()
-        assert not DifferentialForm(
-            H=BiPoly.monomial(1, 0), G=BiPoly.zero()
-        ).in_omega2_sq()
-        assert DifferentialForm(
-            H=BiPoly.monomial(0, 2), G=BiPoly.monomial(0, 1)
-        ).in_omega_prime()
-        assert not DifferentialForm(
-            H=BiPoly.monomial(0, 2), G=BiPoly.monomial(1, 0)
-        ).in_omega_prime()
-
 
 class TestLambdaSets:
     def test_table_row_one(self):
@@ -257,11 +244,26 @@ class TestLambdaSets:
                 assert value_of_differential(phi, om) == w
 
     def test_witness_class_constraints(self):
+        # the classes restated monomial by monomial: (X, Y)^2 has a + b >= 2,
+        # the ideal (X^2, Y) has a >= 2 or b >= 1
+        def in_max_sq(poly):
+            return all(a + b >= 2 for a, b in poly.terms)
+
+        def in_x2_y(poly):
+            return all(a >= 2 or b >= 1 for a, b in poly.terms)
+
         phi = branch(6, e9=1, e10=1)
         for w, om in lambda_set(phi, "Lambda2").witnesses.items():
-            assert om.in_omega2_sq()
+            assert in_max_sq(om.H) and in_max_sq(om.G), w
         for w, om in lambda_set(phi, "LambdaPrime").witnesses.items():
-            assert om.in_omega_prime()
+            assert in_max_sq(om.H) and in_x2_y(om.G), w
+
+    def test_witness_coefficients_are_fractions(self):
+        assert rat is Fraction
+        vs = lambda_set(branch(6, e9=1, e10=1), "Lambda")
+        coeffs = [c for om in vs.witnesses.values()
+                  for c in (*om.H.terms.values(), *om.G.terms.values())]
+        assert coeffs and all(type(c) is Fraction for c in coeffs)
 
     def test_random_forms_stay_inside_lambda(self):
         # soundness oracle: the value of any differential form must be a
@@ -375,6 +377,18 @@ class TestSandwich:
         # v1 + lambda = 30 = 5 v0 already lies in Lambda2 (X^4 dX attains it)
         rep = s_sandwich_check(branch(6, e14=1, e16=-1, e23=2))
         assert rep["n1"] == 3 and rep["genus"] == 2
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InternalError,
+        reason="known defect: for Gamma = <7, 16>, lambda = 18 = 2 (v1 - v0), "
+        "the check expects [7, 14, 16, 23, 25, 34] and computes [7, 14, 16, 23, 25, 33]",
+    )
+    def test_genus_one_lambda_twice_v1_minus_v0(self):
+        # the computed sixth value 33 is 19 + 2 v0, from the support
+        # exponent 19 > lambda, not v1 + lambda = 34
+        rep = s_sandwich_check(branch(7, e16=1, e18="1/2", e19=-1))
+        assert rep["n1"] == 7 and rep["genus"] == 1
 
     def test_monomial_class_refused(self):
         with pytest.raises(ValueError):
