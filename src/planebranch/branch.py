@@ -8,16 +8,27 @@ working truncation N = conductor + 2 v0 + 1 (+ optional head-room), and
 only then discards exponents >= N — they can influence no membership
 decision below N and no normal-form coefficient.
 
+y is held as its canonical TSeries cut at N, in the slot ``y``: integer
+numerators over one positive denominator, in lowest terms.  Structural
+equality of two such series is rational equality, so ``__eq__`` and
+``__hash__`` read the series, and ``coeff`` and ``support`` do too.
+``terms`` is a read-only rational view, a new dict on each read, for
+serialization and display.  The constructor takes y as a map exponent ->
+coefficient or as a canonical TSeries (which it keeps as it is when it is
+already cut at N with lead 1); either way every check runs on the
+integer numerators.
+
 If the leading y-coefficient is not 1 the constructor rescales y by it
 (the coordinate change (X, Y/a) in the plane); the factor is kept on the
 instance as ``lead_rescale`` for introspection.
 
 A branch keeps two lazily built values.  ``y_power`` serves every
-pullback from one ladder of powers of y cut at N (x needs no series: it
-is t**v0, so X**a is a shift).  ``_lambda`` is the Λ ValueSet, set by
-``valuation.lambda_set``: the Λ⁽²⁾ and Λ′ thresholds and the Zariski
-invariant are all read from Λ, so asking for them on one branch
-eliminates Λ once.  Nothing else is memoised on the branch.
+pullback from one ladder of powers of y cut at N, whose rung 1 is ``y``
+itself (x needs no series: it is t**v0, so X**a is a shift).  ``_lambda``
+is the Λ ValueSet, set by ``valuation.lambda_set``: the Λ⁽²⁾ and Λ′
+thresholds and the Zariski invariant are all read from Λ, so asking for
+them on one branch eliminates Λ once.  Nothing else is memoised on the
+branch.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from .semigroup import (
     char_data_from_exponents,
     generators_from_char_exponents,
 )
-from .series import R0, R1, TSeries, rat
+from .series import R0, R1, TSeries, _numerators, rat
 
 
 class BranchInputError(ValueError):
@@ -40,7 +51,7 @@ class PuiseuxParam:
     __slots__ = (
         "v0",
         "v1",
-        "terms",
+        "y",
         "trunc",
         "extra",
         "char",
@@ -56,34 +67,43 @@ class PuiseuxParam:
             raise BranchInputError("v0 must be an integer >= 2")
         if extra < 0:
             raise BranchInputError("truncation head-room must be >= 0")
-        cleaned = {}
-        for e, c in dict(terms).items():
-            e = int(e)
-            c = rat(c)
-            if e < 0:
-                raise BranchInputError(f"negative exponent {e} in y(t)")
-            if c != 0:
-                cleaned[e] = c
-        if not cleaned:
+        if isinstance(terms, TSeries):
+            den, nums = terms.den, terms.nums
+        else:
+            cleaned = {}
+            for e, c in dict(terms).items():
+                e = int(e)
+                c = rat(c)
+                if e < 0:
+                    raise BranchInputError(f"negative exponent {e} in y(t)")
+                if c != 0:
+                    cleaned[e] = c
+            den, nums = _numerators(cleaned)
+            nums = dict(nums)
+        if not nums:
             raise BranchInputError("y(t) must have at least one term")
-        v1 = min(cleaned)
+        v1 = min(nums)
         if v1 <= v0:
             raise BranchInputError(f"leading y-exponent {v1} must exceed v0 = {v0}")
         if v1 % v0 == 0:
             raise BranchInputError(f"v0 = {v0} must not divide the leading exponent {v1}")
-        if math.gcd(v0, *cleaned) != 1:
+        if math.gcd(v0, *nums) != 1:
             raise BranchInputError("parametrization must be primitive: gcd(v0, support) = 1")
 
-        lead = cleaned[v1]
-        if lead != 1:
-            cleaned = {e: c / lead for e, c in cleaned.items()}
-            self.lead_rescale = lead
+        lead = nums[v1]
+        if lead != den:
+            # y / lead is nums / lead: the old lead numerator becomes the
+            # denominator, made positive (the canonical form is restored below)
+            self.lead_rescale = rat(lead, den)
+            den = lead
+            if den < 0:
+                den, nums = -den, {e: -n for e, n in nums.items()}
         else:
             self.lead_rescale = None
 
         beta = [v0]
         g = v0
-        for s in sorted(cleaned):
+        for s in sorted(nums):
             if g == 1:
                 break
             if s % g != 0:
@@ -94,16 +114,21 @@ class PuiseuxParam:
         self.v0 = v0
         self.v1 = v1
         self.extra = extra
-        self.trunc = self.semigroup.conductor + 2 * v0 + 1 + extra
-        self.terms = {e: c for e, c in cleaned.items() if e < self.trunc}
+        N = self.trunc = self.semigroup.conductor + 2 * v0 + 1 + extra
+        if isinstance(terms, TSeries) and terms.trunc == N and self.lead_rescale is None:
+            self.y = terms
+        else:
+            self.y = TSeries._over(N, den, {e: n for e, n in nums.items() if e < N})
         self.label = label
         self._ypow = None
         self._lambda = None
 
     # -- series views -------------------------------------------------
 
-    def y_series(self) -> TSeries:
-        return self.y_power(1)
+    @property
+    def terms(self) -> dict:
+        """y(t) as a new map exponent -> nonzero rational, exponents < N."""
+        return self.y.terms
 
     def y_power(self, b: int) -> TSeries:
         """y(t)**b through t**(N - 1), from the branch's own power ladder.
@@ -115,29 +140,28 @@ class PuiseuxParam:
         """
         ladder = self._ypow
         if ladder is None:
-            N = self.trunc
-            ladder = self._ypow = [TSeries.monomial(0, 1, N), TSeries(N, self.terms)]
+            ladder = self._ypow = [TSeries.monomial(0, 1, self.trunc), self.y]
         while len(ladder) <= b:
             ladder.append((ladder[-1] * ladder[1]).truncate(self.trunc))
         return ladder[b]
 
     def support(self):
-        return sorted(self.terms)
+        return sorted(self.y.nums)
 
     def coeff(self, e: int):
         if e >= self.trunc:
             raise ValueError(f"coefficient at {e} is beyond working precision {self.trunc}")
-        return self.terms.get(e, R0)
+        return self.y.coeff(e)
 
     # -- comparisons and serialization ---------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxParam):
             return NotImplemented
-        return self.v0 == other.v0 and self.trunc == other.trunc and self.terms == other.terms
+        return self.v0 == other.v0 and self.y == other.y
 
     def __hash__(self):
-        return hash((self.v0, self.trunc, tuple(sorted(self.terms.items()))))
+        return hash((self.v0, self.y))
 
     def to_dict(self) -> dict:
         out = {

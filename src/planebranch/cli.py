@@ -16,7 +16,10 @@ Branch inputs are UTF-8 JSON files ({"v0": ..., "terms": [[e, "c"], ...]});
 whitespace; ``--pretty`` indents instead), so equal inputs give equal
 bytes.  Exit codes: 0 success, 1 reproduction mismatch, 2 invalid input,
 3 internal error (a theory-backed check failed, so no result is printed).
-Errors go to stderr as one JSON object, {"error": "..."}.
+Errors go to stderr as one JSON object, {"error": "..."}.  An internal
+error in a reduction adds "repro": {"branch": ..., "changes": [...],
+"k": ...}, the input branch, the changes applied so far and the order
+whose step failed (null outside a step), so the failure can be replayed.
 """
 
 from __future__ import annotations
@@ -51,10 +54,11 @@ def _emit(obj, pretty: bool) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _fail(message: str, code: int = 2) -> int:
-    sys.stderr.write(
-        json.dumps({"error": message}, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+def _fail(message: str, code: int = 2, repro=None) -> int:
+    err = {"error": message}
+    if repro is not None:
+        err["repro"] = repro
+    sys.stderr.write(json.dumps(err, sort_keys=True, separators=(",", ":")) + "\n")
     return code
 
 
@@ -242,7 +246,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
     except InternalError as exc:
-        return _fail(f"InternalError: {exc}", code=3)
+        return _fail(f"InternalError: {exc}", code=3, repro=exc.repro)
 
 
 if __name__ == "__main__":

@@ -6,23 +6,35 @@ The admissible coordinate changes act as
 
 with p of value > v0 and q of value > v1 along the branch; together with a
 reparametrization t -> rho(t) they transform one Puiseux parametrization
-into another with the same semigroup.  Applying a change is exact: the new
-x-coordinate r**v0 t**v0 + p(x(t), y(t)) is written as (rho(t))**v0 by a
-v0-th root of a unit series, and the new y-coefficients are obtained by a
-triangular solve against the powers of rho.  The solve is exact but
-fraction-free: the remainder and the current power of rho are integer
-numerator lists over one denominator each, clearing an order is the same
-row step as in the value-set elimination (``series._clear_lead``), and a
-rational is built only for each solved coefficient.
+into another with the same semigroup.  Applying a change is exact and runs
+on integers from the branch's series to the new branch's series: W =
+r**v1 y + q(x(t), y(t)) is built on the canonical numerators, and
+
+  * with p = 0 and r = 1 the new y is W itself;
+  * with p = 0 and r != 1 the reparametrization is t -> r t, and each
+    coefficient is divided by r**e, on integer powers of r's numerator and
+    denominator over one common denominator;
+  * otherwise the new x-coordinate r**v0 t**v0 + p(x(t), y(t)) is written
+    as (rho(t))**v0 by a v0-th root of a unit series w, rho**v1 is
+    (r t)**v1 w**(v1/v0) by the same recurrence, and the new y-coefficients
+    are obtained by a triangular solve against the powers of rho.  The
+    remainder and the current power of rho are integer numerator lists
+    over one denominator each, clearing an order is the same row step as
+    in the value-set elimination (``series._clear_lead``), and the solved
+    coefficients are collected as numerators over one denominator.
+
+The result goes to the branch constructor as a TSeries, so no rational is
+built on the way.
 
 Term elimination pairs each eliminable order k with a differential form:
 a form H dX + G dY of value k + v0 (with the appropriate component
 constraints) yields the one-parameter family p = -s G, q = s H whose
 effect on the coefficient of t**k is affine in s with nonzero slope, so a
 single division by the first-order slope finds the parameter that kills
-the term, and one application of the change removes it.  Every recipe
-takes this path; the result is checked exactly, so a response that was
-not affine would raise InternalError.  The form is chosen so that everything
+the term, and one application of the change removes it.  The slope is
+one coefficient of the form's integrand, read without building the
+integrand.  Every recipe takes this path; the result is checked exactly,
+so a response that was not affine would raise InternalError.  The form is chosen so that everything
 below k is provably untouched (function values of H and G give an
 explicit pollution threshold); when no such form exists — as for the
 order v1 + lambda - v0, and some orders above it, when n1 = 2 and the
@@ -38,7 +50,7 @@ exactly by a gcd/Bezout computation on the coefficient ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 
 from .branch import PuiseuxParam
 from .semigroup import two_generator_rep
@@ -59,7 +71,6 @@ from .valuation import (
     InternalError,
     form_witnesses,
     function_witnesses,
-    integrand,
     lambda_set,
     semigroup_of_values,
     value_of_function,
@@ -99,18 +110,6 @@ def compose_changes(first: CoordChange, second: CoordChange, v0: int, v1: int) -
         p=first.p.scale(r2**v0) + second.p.substitute(sx, sy),
         q=first.q.scale(r2**v1) + second.q.substitute(sx, sy),
     )
-
-
-def _ts_pow(base: TSeries, n: int, cap: int) -> TSeries:
-    out = TSeries.monomial(0, 1, cap)
-    b = base
-    while n:
-        if n & 1:
-            out = (out * b).truncate(cap)
-        n >>= 1
-        if n:
-            b = (b * b).truncate(cap)
-    return out
 
 
 def _times_rho(P, dP, rho_nums, d_rho):
@@ -155,37 +154,55 @@ def apply_coordinate_change(phi: PuiseuxParam, ch: CoordChange) -> PuiseuxParam:
     if not qt.is_zero() and qt.order() <= v1:
         raise ValueError(f"q must have value > v1 = {v1} along the branch")
 
-    W = phi.y_series().scale(r**v1) + qt
-    if pt.is_zero():
-        # rho(t) = r t: plain coefficient scaling
-        rinv = 1 / r
-        new_terms = {e: c * rinv**e for e, c in W.terms.items()}
-    else:
-        unit = series_root_unit(
-            TSeries.monomial(0, 1, N - v0) + pt.shift(-v0).scale(1 / r**v0), v0
+    W = phi.y if r == 1 else phi.y.scale(r**v1)
+    if not qt.is_zero():
+        W = W + qt
+    if pt.is_zero() and r == 1:
+        y = W
+    elif pt.is_zero():
+        # rho(t) = r t, so c_e becomes c_e / r**e; with r = a / b, a > 0,
+        # that is n_e b**e a**(top - e) over W.den a**top, top the last order
+        a, b = r.numerator, r.denominator
+        if a < 0:
+            a, b = -a, -b
+        top = max(W.nums)
+        y = TSeries._over(
+            N, W.den * a**top, {e: n * b**e * a ** (top - e) for e, n in W.nums.items()}
         )
-        rho = unit.shift(1).scale(r)  # order 1, leading coefficient r
+    else:
+        # x becomes r**v0 t**v0 (1 + pt / (r**v0 t**v0)) = rho**v0
+        w = TSeries.monomial(0, 1, N - v0) + pt.shift(-v0).scale(1 / r**v0)
+        rho = series_root_unit(w, v0).shift(1).scale(r)  # order 1, lead r
         if not W.is_zero() and W.order() < v1:
             raise InternalError("transformed y acquired terms below v1")
         # R = W - sum of the solved c_e rho**e and P = rho**e, as numerator
-        # lists over orders e .. N - 1, each over one denominator
-        Pt = _ts_pow(rho, v1, N)  # leading coefficient r**e at t**e throughout
+        # lists over orders e .. N - 1, each over one denominator; rho**v1
+        # is (r t)**v1 w**(v1/v0), leading coefficient r**e at t**e throughout
+        Pt = series_root_unit(w, v0, v1).shift(v1).scale(r**v1).truncate(N)
         R, dR = [W.nums.get(e, 0) for e in range(v1, N)], W.den
         P, dP = [Pt.nums.get(e, 0) for e in range(v1, N)], Pt.den
         rho_nums, d_rho = sorted(rho.nums.items()), rho.den
-        new_terms = {}
+        # the solved c_e = (b dP) / (dR a), each in lowest terms, as
+        # numerators over the lcm of their denominators
+        solved = []
         for e in range(v1, N):
             b, a = R[0], P[0]
             if b and a:
-                new_terms[e] = rat(b * dP, dR * a)  # (b/dR) / (a/dP), a/dP = r**e
+                num, den = b * dP, dR * a
+                if den < 0:
+                    num, den = -num, -den
+                g = gcd(num, den)
+                solved.append((e, num // g, den // g))
                 R, dR = _clear_lead(R, dR, P)
             if R[0]:
                 raise InternalError(f"triangular solve left a residual term at t^{e}")
             R = R[1:]
             if R:
                 P, dP = _times_rho(P, dP, rho_nums, d_rho)
+        L = lcm(*[den for _, _, den in solved])
+        y = TSeries._over(N, L, {e: num * (L // den) for e, num, den in solved})
 
-    out = PuiseuxParam(v0, new_terms, extra=phi.extra, label=phi.label)
+    out = PuiseuxParam(v0, y, extra=phi.extra, label=phi.label)
     if out.lead_rescale is not None:
         raise InternalError("coordinate change disturbed the leading coefficient")
     if out.semigroup.generators != phi.semigroup.generators:
@@ -327,10 +344,37 @@ def _affine_slope(phi: PuiseuxParam, recipe: _Recipe, k: int):
     """d/ds of the coefficient of t**k under recipe(s), to first order in s.
 
     With H dX + G dY = q_gen dX - p_gen dY, the change moves y by
-    s (H x' + G y') / x' + O(s**2), and x' = v0 t**(v0 - 1).
+    s (H x' + G y') / x' + O(s**2), and x' = v0 t**(v0 - 1).  Only the
+    coefficient of t**K, K = k + v0 - 1, of that integrand is read:
+
+        v0 [t**k] H* + sum_i [t**i] G* [t**(K - i)] y',
+
+    H* and G* the pullbacks.  That is exact wherever
+    ``valuation.integrand`` is trusted; past its window the same
+    ValueError is raised.
     """
-    om = integrand(phi, recipe.q_gen, -recipe.p_gen)
-    return om.coeff(k + phi.v0 - 1) / phi.v0
+    v0, v1, N = phi.v0, phi.v1, phi.trunc
+    K = k + v0 - 1
+    H, G = recipe.q_gen, -recipe.p_gen
+    h = g = None
+    windows = []
+    if not H.is_zero():
+        h = bipoly_pullback(H, phi)
+        windows.append(N + v0 - 1)
+    if not G.is_zero():
+        g = bipoly_pullback(G, phi)
+        # the window of the product G* y', y' of order v1 - 1 cut at N - 1
+        windows.append(min(N + v1 - 1, N - 1 + g.order_floor()))
+    trunc = min(windows, default=N)  # N: the integrand of the zero form
+    if K >= trunc:
+        raise ValueError(f"coefficient at {K} is beyond truncation {trunc}")
+    slope = R0 if h is None else h.coeff(k)
+    if g is not None:
+        # [t**j] y' = (j + 1) [t**(j + 1)] y
+        y = phi.y.nums
+        acc = sum(n * (K + 1 - i) * y.get(K + 1 - i, 0) for i, n in g.nums.items())
+        slope += rat(acc, g.den * phi.y.den * v0)
+    return slope
 
 
 def _solve_step(phi: PuiseuxParam, recipe: _Recipe, k: int, target):
@@ -355,18 +399,16 @@ def _solve_step(phi: PuiseuxParam, recipe: _Recipe, k: int, target):
     out = apply_coordinate_change(phi, ch)
     if out.coeff(k) != target:
         raise InternalError(f"recipe {recipe.name} failed to set order {k} exactly")
-    if recipe.safe:
-        for e in out.support():
-            if e < k and out.terms.get(e) != phi.terms.get(e):
-                raise InternalError(
-                    f"recipe {recipe.name} (threshold {recipe.threshold}) "
-                    f"disturbed the jet at order {e} < {k}"
-                )
-        for e in phi.support():
-            if e < k and out.terms.get(e) != phi.terms.get(e):
-                raise InternalError(
-                    f"recipe {recipe.name} erased the jet at order {e} < {k}"
-                )
+    if recipe.safe and out.y.truncate(k) != phi.y.truncate(k):
+        a, b = out.terms, phi.terms
+        moved = [e for e in sorted(a) if e < k and a[e] != b.get(e)]
+        if moved:
+            raise InternalError(
+                f"recipe {recipe.name} (threshold {recipe.threshold}) "
+                f"disturbed the jet at order {moved[0]} < {k}"
+            )
+        e = min(e for e in b if e < k and e not in a)
+        raise InternalError(f"recipe {recipe.name} erased the jet at order {e} < {k}")
     return out, ch
 
 
@@ -400,14 +442,15 @@ def eliminate_term(phi: PuiseuxParam, k: int, lam=None):
     cur, ch = _solve_step(phi, recipe, k, R0)
     changes = [ch]
     if not recipe.safe:
-        ref = dict(phi.terms)
+        ref = phi.terms
         ref.pop(k, None)
         rounds = 0
         while True:
+            got = cur.terms
             dirty = sorted(
                 e
-                for e in set(cur.terms) | set(ref)
-                if phi.v1 < e <= k and cur.terms.get(e, R0) != ref.get(e, R0)
+                for e in got.keys() | ref.keys()
+                if phi.v1 < e <= k and got.get(e, R0) != ref.get(e, R0)
             )
             if not dirty:
                 break
@@ -469,62 +512,75 @@ def to_normal_form(phi: PuiseuxParam) -> NormalFormResult:
     lambda coefficient is left as found — it is not an invariant of the
     branch, only its orbit under the residual homotheties matters.
     Lambda-stability of the reduction is verified at the end.
-    """
-    lam_vs = lambda_set(phi, "Lambda")
-    semigroup_of_values(phi)  # cross-validates the analytic semigroup
-    lam = zariski_invariant(phi)
-    work = phi
-    log = []
-    last = phi.v1
-    while True:
-        elig = sorted(_eligible(work, lam, lam_vs))
-        if not elig:
-            break
-        k = elig[0]
-        if k <= last:
-            raise InternalError(f"reduction is not advancing: {k} after {last}")
-        last = k
-        work, ch = eliminate_term(work, k, lam=lam)
-        log.append(ch)
 
-    if lam is MONOMIAL_CLASS:
-        if work.support() != [phi.v1]:
-            raise InternalError(
-                f"monomial class should reduce to a single term, got {work.support()}"
-            )
-        free = []
-        dim = 0
-        lam_out = None
-    else:
-        if work.terms.get(lam, R0) == 0:
-            raise InternalError(f"normal form lost its t^{lam} term")
-        for e in work.support():
-            if e in (phi.v1, lam):
-                continue
-            if lam_vs.contains(e + phi.v0):
-                raise InternalError(f"normal form kept eliminable order {e}")
-            if e <= lam:
-                raise InternalError(f"normal form kept order {e} below the invariant")
-        free = [
-            e
-            for e in range(lam + 1, phi.semigroup.conductor)
-            if not lam_vs.contains(e + phi.v0)
-        ]
-        dim = len(free)
-        lam_out = lam
-    stable = lambda_set(work, "Lambda")
-    if (
-        stable.finite_part != lam_vs.finite_part
-        or stable.all_above != lam_vs.all_above
-    ):
-        raise InternalError("reduction changed the differential value set")
+    An InternalError raised on the way leaves a repro on the exception,
+    ``exc.repro``: the input branch and the change log so far as JSON
+    (``to_dict``), and k, the order whose step failed (None outside a
+    step).  Replaying the changes on the branch rebuilds the step's input.
+    """
+    log = []
+    k = None
+    try:
+        lam_vs = lambda_set(phi, "Lambda")
+        semigroup_of_values(phi)  # cross-validates the analytic semigroup
+        lam = zariski_invariant(phi)
+        work = phi
+        last = phi.v1
+        while True:
+            elig = sorted(_eligible(work, lam, lam_vs))
+            if not elig:
+                break
+            k = elig[0]
+            if k <= last:
+                raise InternalError(f"reduction is not advancing: {k} after {last}")
+            last = k
+            work, ch = eliminate_term(work, k, lam=lam)
+            log.append(ch)
+            k = None
+
+        if lam is MONOMIAL_CLASS:
+            if work.support() != [phi.v1]:
+                raise InternalError(
+                    f"monomial class should reduce to a single term, got {work.support()}"
+                )
+            free = []
+            lam_out = None
+        else:
+            if lam not in work.y.nums:
+                raise InternalError(f"normal form lost its t^{lam} term")
+            for e in work.support():
+                if e in (phi.v1, lam):
+                    continue
+                if lam_vs.contains(e + phi.v0):
+                    raise InternalError(f"normal form kept eliminable order {e}")
+                if e <= lam:
+                    raise InternalError(f"normal form kept order {e} below the invariant")
+            free = [
+                e
+                for e in range(lam + 1, phi.semigroup.conductor)
+                if not lam_vs.contains(e + phi.v0)
+            ]
+            lam_out = lam
+        stable = lambda_set(work, "Lambda")
+        if (
+            stable.finite_part != lam_vs.finite_part
+            or stable.all_above != lam_vs.all_above
+        ):
+            raise InternalError("reduction changed the differential value set")
+    except InternalError as exc:
+        exc.repro = {
+            "branch": phi.to_dict(),
+            "changes": [ch.to_dict() for ch in log],
+            "k": k,
+        }
+        raise
     return NormalFormResult(
         normal=work,
         lam=lam_out,
         lambda_values=lam_vs,
         change_log=log,
         free_exponents=free,
-        dimension_bound=dim,
+        dimension_bound=len(free),
     )
 
 

@@ -11,8 +11,12 @@ and that marker never compares equal to an integer.
 A TSeries is stored as integer numerators over one positive denominator,
 in lowest terms, so its arithmetic runs on ints with one content gcd per
 result: a product convolves the stored numerators, a sum or difference
-works over the lcm of the two denominators.  Rationals are built only at
-the boundaries (``terms``, ``coeff``).  BiPoly holds rationals directly.
+works over the lcm of the two denominators, and a shift keeps the
+numerators as they are.  Rationals are built only at the boundaries
+(``terms``, ``coeff``).  BiPoly holds rationals directly.
+``series_root_unit`` computes any rational power w**(m/n) of a unit
+series by one recurrence; a branch holds its y as a TSeries, so the
+coordinate changes of ``normalform`` run on these numerators too.
 The two triangular eliminations (``valuation._eliminate`` and the solve in
 ``normalform.apply_coordinate_change``) work on bare numerator lists and
 share one fraction-free row step, ``_clear_lead``.  ``bipoly_pullback``
@@ -251,8 +255,11 @@ class TSeries:
         """Multiply by t**k (k may be negative if every exponent allows it)."""
         if k < 0 and any(e + k < 0 for e in self.nums):
             raise ValueError("shift would create negative exponents")
-        nums = {e + k: n for e, n in self.nums.items()}
-        return TSeries._over(self.trunc + k, self.den, nums)
+        # the numerators and the denominator are unchanged: still canonical
+        out = TSeries.__new__(TSeries)
+        out.trunc, out.den = self.trunc + k, self.den
+        out.nums = {e + k: n for e, n in self.nums.items()}
+        return out
 
     def truncate(self, n: int) -> "TSeries":
         if n >= self.trunc:
@@ -273,12 +280,14 @@ class TSeries:
         return f"TSeries({bits} + O(t^{self.trunc}))"
 
 
-def series_root_unit(w: TSeries, n: int) -> TSeries:
-    """The n-th root s of a unit series w with w(0) = 1, normalized s(0) = 1.
+def series_root_unit(w: TSeries, n: int, m: int = 1) -> TSeries:
+    """The power s = w**(m/n) of a unit series w with w(0) = 1, s(0) = 1.
 
-    Coefficients follow from the defining relation n s' w = w' s, which gives
-    the order-by-order recurrence
-        s_k = (1/(n k)) * sum_{0 < d <= k} w_d s_{k-d} (d - n (k - d)).
+    Coefficients follow from the defining relation n s' w = m w' s, which
+    gives the order-by-order recurrence
+        s_k = (1/(n k)) * sum_{0 < d <= k} w_d s_{k-d} (m d - n (k - d)).
+    With m = 1 this is the n-th root; with n = 1 it is the m-th power, at
+    one pass instead of products.
     It runs on integers: w = W / D as stored, and s = S / E over a running
     denominator E, the lcm of the denominators of s_0 .. s_k.  Each step
     reduces the new coefficient once and rescales S only when E grows, so E
@@ -301,7 +310,7 @@ def series_root_unit(w: TSeries, n: int) -> TSeries:
                 break
             sj = S[k - d]
             if sj:
-                acc += c * sj * (d - n * (k - d))
+                acc += c * sj * (m * d - n * (k - d))
         if acc:
             q = D * E * n * k  # s_k = acc / q
             g = gcd(acc, q)

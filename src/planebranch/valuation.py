@@ -74,7 +74,13 @@ MONOMIAL_CLASS = _MonomialClass()
 
 
 class InternalError(RuntimeError):
-    """A theory-backed assertion failed; the computation cannot be trusted."""
+    """A theory-backed assertion failed; the computation cannot be trusted.
+
+    ``repro`` is None, or a JSON-ready record that replays the failure;
+    ``normalform.to_normal_form`` sets it for a failed reduction.
+    """
+
+    repro = None
 
 
 @dataclass(frozen=True)
@@ -152,7 +158,7 @@ def integrand(phi: PuiseuxParam, H: BiPoly, G: BiPoly) -> TSeries:
     if not H.is_zero():
         acc = bipoly_pullback(H, phi).shift(v0 - 1).scale(v0)
     if not G.is_zero():
-        part = bipoly_pullback(G, phi) * phi.y_series().derivative()
+        part = bipoly_pullback(G, phi) * phi.y.derivative()
         acc = part if acc is None else acc + part
     if acc is None:
         acc = TSeries(phi.trunc)
@@ -337,7 +343,7 @@ def form_witnesses(phi: PuiseuxParam, kind: str, top: int) -> dict:
 def _form_rows(phi: PuiseuxParam, kind: str, top: int) -> list:
     v0, v1 = phi.v0, phi.v1
     filt = _KIND_FILTERS[kind]
-    yprime = phi.y_series().derivative()
+    yprime = phi.y.derivative()
     rows = []
     for a in range(top // v0 + 1):
         for b in range((top - a * v0) // v1 + 1):

@@ -55,6 +55,26 @@ def series_inverse_unit(u: TSeries) -> TSeries:
     return TSeries(n, inv)
 
 
+def assert_canonical(s):
+    """One positive denominator, no common factor, no zero, all below trunc."""
+    assert type(s.den) is int and s.den > 0
+    assert gcd(s.den, *s.nums.values()) == 1
+    assert all(type(n) is int and n != 0 and 0 <= e < s.trunc for e, n in s.nums.items())
+
+
+def oracle_pow(base: TSeries, n: int, cap: int) -> TSeries:
+    """base**n cut at cap, by repeated squaring with truncated products."""
+    out = TSeries.monomial(0, 1, cap)
+    b = base
+    while n:
+        if n & 1:
+            out = (out * b).truncate(cap)
+        n >>= 1
+        if n:
+            b = (b * b).truncate(cap)
+    return out
+
+
 def _rational_product(a: dict, b: dict, trunc: int) -> dict:
     out = {}
     for e1, c1 in a.items():
@@ -81,6 +101,24 @@ def rational_pullback(h, phi) -> TSeries:
             if e < N:
                 out[e] = out.get(e, R0) + c * k
     return TSeries(N, out)
+
+
+def rational_scaling_change(phi, ch):
+    """apply_coordinate_change for p = 0, by the rational formula.
+
+    With p = 0 the reparametrization is t -> r t, so the new y is
+    W(t / r) for W = r**v1 y + q(x, y): each coefficient c_e of W becomes
+    c_e / r**e, one rational power per coefficient.
+    """
+    assert ch.p.is_zero()
+    r = rat(ch.r)
+    W = {e: c * r**phi.v1 for e, c in phi.terms.items()}
+    for e, c in rational_pullback(ch.q, phi).terms.items():
+        W[e] = W.get(e, R0) + c
+    rinv = 1 / r
+    return PuiseuxParam(
+        phi.v0, {e: c * rinv**e for e, c in W.items()}, extra=phi.extra, label=phi.label
+    )
 
 
 def series_reversion(s: TSeries) -> TSeries:

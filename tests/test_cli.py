@@ -287,6 +287,42 @@ def test_internal_error_exits_3(capsys, tmp_path, monkeypatch):
     }
 
 
+def test_internal_error_in_a_reduction_is_replayable(capsys, tmp_path, monkeypatch):
+    # the stderr JSON carries the input branch, the changes so far and k;
+    # replaying the changes on the branch rebuilds the failed step's input
+    from planebranch import (
+        CoordChange,
+        InternalError,
+        PuiseuxParam,
+        apply_coordinate_change,
+        normalform,
+    )
+
+    real = normalform.eliminate_term
+    steps = []
+
+    def fail_second_step(phi, k, lam=None):
+        steps.append((phi, k))
+        if len(steps) == 2:
+            raise InternalError(f"injected failure at order {k}")
+        return real(phi, k, lam=lam)
+
+    monkeypatch.setattr(normalform, "eliminate_term", fail_second_step)
+    path = write_branch(tmp_path, "b.json", 7, [[8, "1"], [10, "1"], [14, "2"], [17, "5"]])
+    code, out, err = run_cli(capsys, "normalform", path)
+    assert code == 3 and out == ""
+    phi, k = steps[1]
+    data = json.loads(err)
+    assert data["error"] == f"InternalError: injected failure at order {k}"
+    repro = data["repro"]
+    assert repro["k"] == k
+    assert len(repro["changes"]) == 1
+    cur = PuiseuxParam.from_dict(repro["branch"])
+    for change in repro["changes"]:
+        cur = apply_coordinate_change(cur, CoordChange.from_dict(change))
+    assert cur == phi
+
+
 def test_trunc_extra_accepted(capsys, tmp_path):
     path = write_branch(tmp_path, "b.json", 7, [[8, "1"], [20, "1"]])
     code, out, _ = run_cli(capsys, "lambda", path, "--trunc-extra", "10")

@@ -26,11 +26,19 @@ from planebranch import (
     zariski_invariant,
 )
 from planebranch import normalform
-from planebranch.normalform import _affine_slope, _candidate_recipes, _ts_pow
+from planebranch.normalform import _Recipe, _affine_slope, _candidate_recipes
 from planebranch.series import R1, TSeries
-from planebranch.valuation import form_witnesses
+from planebranch.valuation import form_witnesses, integrand
 
-from series_oracles import rational_root_unit, series_compose, series_reversion
+from series_oracles import (
+    assert_canonical,
+    oracle_pow,
+    rational_root_unit,
+    rational_scaling_change,
+    series_compose,
+    series_reversion,
+    small_branches,
+)
 
 
 def branch(v0, coeffs, extra=0):
@@ -68,8 +76,8 @@ class TestApplyChange:
         phi = branch(7, {8: 1, 10: 1})
         q = bp((0, 2, "-1"), (3, 0, "1/2"))
         out = apply_coordinate_change(phi, CoordChange(r=rat(1), p=BiPoly.zero(), q=q))
-        expect = phi.y_series() + bipoly_pullback(q, phi)
-        assert out.y_series().terms == {
+        expect = phi.y + bipoly_pullback(q, phi)
+        assert out.y.terms == {
             e: c for e, c in expect.terms.items() if e < out.trunc
         }
 
@@ -85,15 +93,15 @@ class TestApplyChange:
 
         N = phi.trunc
         xt = TSeries.monomial(4, r**4, N) + bipoly_pullback(p, phi).truncate(N)
-        yt = phi.y_series().scale(r**6) + bipoly_pullback(q, phi).truncate(N)
+        yt = phi.y.scale(r**6) + bipoly_pullback(q, phi).truncate(N)
         # recover rho as the unique order-1 root of rho^4 = xt with rho'(0) = r
         rho = series_root_unit(xt.shift(-4).scale(r**-4), 4).shift(1).scale(r)
-        window = min(_ts_pow(rho, 4, N).trunc, xt.trunc)
-        assert _ts_pow(rho, 4, N).truncate(window) == xt.truncate(window)
+        window = min(oracle_pow(rho, 4, N).trunc, xt.trunc)
+        assert oracle_pow(rho, 4, N).truncate(window) == xt.truncate(window)
         tau = series_reversion(rho)
         y_new = series_compose(yt, tau)
         for e in range(min(out.trunc, y_new.trunc)):
-            assert out.y_series().coeff(e) == y_new.coeff(e)
+            assert out.y.coeff(e) == y_new.coeff(e)
         # and the branch data survived
         assert out.v0 == 4 and out.semigroup.generators == phi.semigroup.generators
 
@@ -141,7 +149,7 @@ def series_apply_change(phi, ch):
     r = rat(ch.r)
     pt = bipoly_pullback(ch.p, phi).truncate(N)
     qt = bipoly_pullback(ch.q, phi).truncate(N)
-    R = (phi.y_series().scale(r**v1) + qt).truncate(N)
+    R = (phi.y.scale(r**v1) + qt).truncate(N)
     unit = rational_root_unit(
         TSeries.monomial(0, 1, N - v0) + pt.shift(-v0).scale(1 / r**v0), v0
     )
@@ -165,9 +173,10 @@ coeffs = st.builds(rat, st.integers(-9, 9).filter(bool), st.integers(1, 6))
 
 
 @st.composite
-def general_changes(draw):
-    """A small branch and a change with p != 0: r from R_POOL, p and q with
-    one to three monomials of value > v0 and > v1 below the truncation."""
+def changes(draw, p_zero=False):
+    """A small branch and a change: r from R_POOL, q with zero to three
+    monomials of value > v1 below the truncation, and p = 0, or p with one
+    to three monomials of value > v0 and a nonzero pullback."""
     v0 = draw(st.integers(3, 6))
     v1 = draw(st.integers(v0 + 1, v0 + 4).filter(lambda e: e % v0))
     tail = draw(st.dictionaries(st.integers(v1 + 1, v1 + 9), coeffs, max_size=2))
@@ -175,33 +184,66 @@ def general_changes(draw):
     phi = PuiseuxParam(v0, {v1: R1, **tail}, extra=draw(st.integers(0, 3)))
     N = phi.trunc
 
-    def poly(above):
+    def poly(above, min_size):
         monomials = [
             (a, b)
             for a in range(N // v0 + 1)
             for b in range(3)
             if above < a * v0 + b * v1 < N
         ]
-        picks = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True))
+        picks = draw(st.lists(st.sampled_from(monomials), min_size=min_size, max_size=3,
+                              unique=True))
         return BiPoly({m: draw(coeffs) for m in picks})
 
-    p, q = poly(v0), poly(v1)
-    assume(not bipoly_pullback(p, phi).truncate(N).is_zero())
+    q = poly(v1, 0 if p_zero else 1)
+    p = BiPoly() if p_zero else poly(v0, 1)
+    assume(p_zero or not bipoly_pullback(p, phi).truncate(N).is_zero())
     return phi, CoordChange(r=draw(st.sampled_from(R_POOL)), p=p, q=q)
+
+
+def assert_canonical_branch(phi):
+    assert_canonical(phi.y)
+    assert phi.y.trunc == phi.trunc
 
 
 class TestApplyChangeAgainstSeriesSolve:
     @settings(deadline=None, max_examples=100)
-    @given(general_changes())
+    @given(changes())
     def test_matches_series_solve(self, phi_ch):
         phi, ch = phi_ch
         got = apply_coordinate_change(phi, ch)
+        assert_canonical_branch(got)
         want = series_apply_change(phi, ch)
+        assert got == want
+        assert (got.to_dict(), got.extra, got.trunc) == (want.to_dict(), want.extra, want.trunc)
+
+    @settings(deadline=None, max_examples=100)
+    @given(changes(p_zero=True))
+    def test_scaling_matches_rational_formula(self, phi_ch):
+        # p = 0: r = 1 returns W itself, r != 1 scales on integers
+        phi, ch = phi_ch
+        got = apply_coordinate_change(phi, ch)
+        assert_canonical_branch(got)
+        want = rational_scaling_change(phi, ch)
         assert got == want
         assert (got.to_dict(), got.extra, got.trunc) == (want.to_dict(), want.extra, want.trunc)
 
 
 # -- single-term elimination ---------------------------------------------
+
+
+def check_slope(phi, recipe, k):
+    """_affine_slope equals [t**(j + v0 - 1)] of the recipe's integrand over
+    v0 at every order j from k, and raises where the integrand's window
+    ends (two orders past it are tried)."""
+    om = integrand(phi, recipe.q_gen, -recipe.p_gen)
+    for j in range(k, om.trunc - phi.v0 + 3):
+        K = j + phi.v0 - 1
+        if K < om.trunc:
+            assert _affine_slope(phi, recipe, j) == om.coeff(K) / phi.v0
+        else:
+            with pytest.raises(ValueError, match=f"beyond truncation {om.trunc}"):
+                _affine_slope(phi, recipe, j)
 
 
 class TestEliminateTerm:
@@ -293,6 +335,32 @@ class TestEliminateTerm:
         sampled = apply_coordinate_change(phi, ch).coeff(k) - phi.coeff(k)
         assert sampled != 0
         assert _affine_slope(phi, recipe, k) == sampled
+
+    def test_slope_is_one_integrand_coefficient(self):
+        names = set()
+        for v0, coeffs, k in (
+            (7, {8: 1, 10: 1, 16: 1}, 16),
+            (7, {8: 1, 10: 1, 17: 5}, 17),
+            (7, {8: 1, 10: 1, 18: 1}, 18),
+            (6, {9: 1, 13: 1, 16: 1}, 16),
+        ):
+            phi = branch(v0, coeffs)
+            for recipe in _candidate_recipes(phi, k, zariski_invariant(phi)):
+                names.add(recipe.name)
+                check_slope(phi, recipe, k)
+        assert names == {"EC1", "EC2", "witness", "special"}
+        # a dY-component of value 2 v0 < v1, where G* y' sets the window
+        probe = _Recipe(name="probe", p_gen=bp((2, 0, "1")), q_gen=BiPoly(), safe=True)
+        check_slope(branch(3, {7: 1, 8: 1}), probe, 8)
+
+    @settings(deadline=None, max_examples=40)
+    @given(small_branches(), st.data())
+    def test_slope_is_one_integrand_coefficient_on_random_branches(self, phi, data):
+        lam = zariski_invariant(phi)
+        k = data.draw(st.integers(phi.v1 + 1, phi.semigroup.conductor + phi.v0))
+        assume(lam is MONOMIAL_CLASS or k != lam)
+        for recipe in _candidate_recipes(phi, k, lam):
+            check_slope(phi, recipe, k)
 
     def test_slope_missing_the_target_raises(self, monkeypatch):
         # the exact check on the solved coefficient guards the affine step
@@ -400,6 +468,29 @@ class TestToNormalForm:
             assert homothety_solve(
                 res.normal.terms, res2.normal.terms, phi.v1
             ) is not None
+
+    def test_internal_error_after_the_last_step_has_no_order(self, monkeypatch):
+        # the final Lambda-stability check fails: the repro holds every change
+        # and k is None
+        real = normalform.lambda_set
+        calls = []
+
+        def fail_stability(phi, kind="Lambda"):
+            calls.append(phi)
+            if len(calls) == 2:
+                raise InternalError("injected stability failure")
+            return real(phi, kind)
+
+        monkeypatch.setattr(normalform, "lambda_set", fail_stability)
+        phi = branch(7, {8: 1, 10: 1, 14: 2, 17: 5})
+        with pytest.raises(InternalError, match="injected") as info:
+            to_normal_form(phi)
+        repro = info.value.repro
+        assert repro["branch"] == phi.to_dict() and repro["k"] is None
+        cur = phi
+        for change in repro["changes"]:
+            cur = apply_coordinate_change(cur, CoordChange.from_dict(change))
+        assert cur == calls[1]
 
     def test_lambda_invariance_under_reduction(self):
         phi = branch(7, {8: 1, 10: 1, 14: 2, 17: 5})

@@ -166,7 +166,7 @@ class TestBranchConstruction:
         assert phi.char.genus == 2
         assert phi.char.puiseux_pairs == ((2, 3), (3, 10))
         assert phi.trunc == 42 + 12 + 1
-        y = phi.y_series()
+        y = phi.y
         N = phi.trunc
         assert phi.y_power(0).terms == {0: 1} and phi.y_power(0).trunc == N
         assert phi.y_power(1) == y
@@ -179,6 +179,20 @@ class TestBranchConstruction:
         phi = PuiseuxParam(7, {8: 3, 10: 6})
         assert phi.lead_rescale == rat(3)
         assert phi.coeff(8) == 1 and phi.coeff(10) == rat(2)
+
+    def test_series_input_matches_dict_input(self):
+        from planebranch.branch import PuiseuxParam
+        from planebranch.series import TSeries, rat
+
+        for terms in ({8: 1, 10: "1/2"}, {8: "-2/3", 10: 4, 13: "5/7"}, {8: 3, 90: 1}):
+            want = PuiseuxParam(7, terms)
+            for trunc in (want.trunc - 3, want.trunc, want.trunc + 40):
+                got = PuiseuxParam(7, TSeries(trunc, {e: rat(c) for e, c in terms.items()}))
+                assert got == want and got.lead_rescale == want.lead_rescale
+                assert got.y.trunc == got.trunc and got.y.den > 0
+        # a canonical series cut at N with lead 1 is kept as it is
+        phi = PuiseuxParam(7, {8: 1, 10: "1/2"})
+        assert PuiseuxParam(7, phi.y).y is phi.y
 
     def test_far_terms_are_cut_after_char_data(self):
         from planebranch.branch import PuiseuxParam

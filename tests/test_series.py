@@ -1,7 +1,5 @@
 """Exact series arithmetic against independently computed oracles."""
 
-from math import gcd
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +16,9 @@ from planebranch.series import (
 )
 
 from series_oracles import (
+    assert_canonical,
     coeffs,
+    oracle_pow,
     rational_pullback,
     rational_root_unit,
     series_compose,
@@ -236,13 +236,6 @@ def pairwise_product(a, b):
     return trunc, out
 
 
-def assert_canonical(s):
-    """One positive denominator, no common factor, no zero, all below trunc."""
-    assert type(s.den) is int and s.den > 0
-    assert gcd(s.den, *s.nums.values()) == 1
-    assert all(type(n) is int and n != 0 and 0 <= e < s.trunc for e, n in s.nums.items())
-
-
 def reference_ops(a, b, f, k, n):
     """(trunc, terms) of every TSeries operation, on plain rational maps."""
     ta, tb = a.terms, b.terms
@@ -347,6 +340,18 @@ class TestAlgebraProperties:
         for _ in range(n):
             p = (p * s).truncate(w.trunc)
         assert p == w
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        st.integers(1, 16).flatmap(lambda t: small_series(unit_lead=True, trunc=t)),
+        st.integers(2, 13),
+        st.integers(1, 20),
+    )
+    def test_rational_power_is_power_of_root(self, w, n, m):
+        # w**(m/n) by the recurrence equals the m-th power of the n-th root
+        s = series_root_unit(w, n, m)
+        assert_canonical(s)
+        assert s == oracle_pow(series_root_unit(w, n), m, w.trunc)
 
     @settings(deadline=None, max_examples=40)
     @given(small_series(min_order=2, trunc=9))
