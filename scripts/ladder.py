@@ -7,7 +7,9 @@ with v0 and every rung runs a full reduction.  For v0 = 7, 9, ..., 17 the
 CLI runs three times in fresh processes (import, branch, reduction and
 output are all timed); each rung records the median wall time and the
 sha256 of stdout.  Every run of a rung must print the same bytes and exit
-0, or the script stops.
+0, or the script stops.  ``src_lines`` gives the lines of each module of
+the measured ``src/planebranch``, counted as ``bench/run.py`` counts them,
+so source size sits next to the timings.
 
     python scripts/ladder.py
     python scripts/ladder.py --root ../other-checkout
@@ -67,6 +69,11 @@ def run_rung(root: Path, v0: int) -> dict:
     }
 
 
+def source_lines(root: Path) -> dict:
+    return {p.stem: len(p.read_text(encoding="utf-8").splitlines())
+            for p in sorted((root / "src" / "planebranch").glob("*.py"))}
+
+
 def git(root: Path, *args) -> str | None:
     try:
         run = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
@@ -92,6 +99,7 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "commit": git(root, "rev-parse", "HEAD") if status == "" else None,
         "src_uncommitted_changes": None if status is None else bool(status),
+        "src_lines": source_lines(root),
         "rungs": [],
     }
     for v0 in V0S:

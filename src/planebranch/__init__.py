@@ -26,7 +26,6 @@ from .normalform import (
     apply_coordinate_change,
     compose_changes,
     decide_equivalence,
-    ec_applicability,
     eliminate_term,
     homothety_solve,
     to_normal_form,
@@ -36,7 +35,6 @@ from .semigroup import (
     NumericalSemigroup,
     char_exponents_from_generators,
     generators_from_char_exponents,
-    validate_plane_branch_semigroup,
 )
 from .series import (
     AboveTruncation,
@@ -85,7 +83,6 @@ __all__ = [
     "differential_gaps",
     "compose_changes",
     "decide_equivalence",
-    "ec_applicability",
     "eliminate_term",
     "generators_from_char_exponents",
     "homothety_solve",
@@ -98,7 +95,6 @@ __all__ = [
     "semigroup_of_values",
     "series_root_unit",
     "to_normal_form",
-    "validate_plane_branch_semigroup",
     "value_of_differential",
     "value_of_function",
     "zariski_invariant",

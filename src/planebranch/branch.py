@@ -3,10 +3,11 @@
 A branch is given as (t**v0, sum a_i t**i) with leading y-exponent v1,
 v0 < v1, v0 not dividing v1, and gcd(v0, support) = 1 so the
 parametrization is primitive.  The constructor derives the characteristic
-exponents from the full support, builds the value semigroup, fixes the
-working truncation N = conductor + 2 v0 + 1 (+ optional head-room), and
-only then discards exponents >= N — they can influence no membership
-decision below N and no normal-form coefficient.
+exponents beta from the full support, takes ``char`` and ``semigroup``
+from the class ``char_data_from_exponents(beta)``, shared by every branch
+of that class, fixes the working truncation N = conductor + 2 v0 + 1
+(+ optional head-room), and only then discards exponents >= N — they can
+influence no membership decision below N and no normal-form coefficient.
 
 y is held as its canonical TSeries cut at N, in the slot ``y``: integer
 numerators over one positive denominator, in lowest terms.  Structural
@@ -25,21 +26,16 @@ instance as ``lead_rescale`` for introspection.
 A branch keeps two lazily built values.  ``y_power`` serves every
 pullback from one ladder of powers of y cut at N, whose rung 1 is ``y``
 itself (x needs no series: it is t**v0, so X**a is a shift).  ``_lambda``
-is the Λ ValueSet, set by ``valuation.lambda_set``: the Λ⁽²⁾ and Λ′
-thresholds and the Zariski invariant are all read from Λ, so asking for
-them on one branch eliminates Λ once.  Nothing else is memoised on the
-branch.
+is the Λ ValueSet, set by ``valuation.lambda_set``, and the only analytic
+memo on a branch: the Λ⁽²⁾ and Λ′ thresholds and the Zariski invariant are
+all read from Λ, so asking for them on one branch eliminates Λ once.
 """
 
 from __future__ import annotations
 
 import math
 
-from .semigroup import (
-    NumericalSemigroup,
-    char_data_from_exponents,
-    generators_from_char_exponents,
-)
+from .semigroup import char_data_from_exponents
 from .series import R0, R1, TSeries, _numerators, rat
 
 
@@ -110,7 +106,7 @@ class PuiseuxParam:
                 beta.append(s)
                 g = math.gcd(g, s)
         self.char = char_data_from_exponents(beta)
-        self.semigroup = NumericalSemigroup(generators_from_char_exponents(beta))
+        self.semigroup = self.char.semigroup
         self.v0 = v0
         self.v1 = v1
         self.extra = extra

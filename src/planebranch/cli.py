@@ -31,13 +31,8 @@ import sys
 from .branch import BranchInputError, PuiseuxParam
 from .catalog import EXAMPLE_IDS, load_samples, run_reproduction
 from .normalform import decide_equivalence, to_normal_form
-from .semigroup import (
-    NumericalSemigroup,
-    char_data_from_exponents,
-    char_exponents_from_generators,
-    generators_from_char_exponents,
-)
-from .valuation import MONOMIAL_CLASS, InternalError, lambda_set, zariski_invariant
+from .semigroup import char_data_from_exponents, char_exponents_from_generators
+from .valuation import InternalError, lambda_set, zariski_invariant
 
 _SET_KEYS = {
     "lambda": ("Lambda", "lambda_minus_gamma"),
@@ -91,14 +86,14 @@ def cmd_semigroup(args) -> int:
             beta = char_exponents_from_generators(gens)
         except ValueError as exc:
             return _fail(str(exc))
+        cd = char_data_from_exponents(beta)
     else:
         beta = _parse_ints(args.beta, "--beta")
         try:
-            gens = generators_from_char_exponents(beta)
+            cd = char_data_from_exponents(beta)
         except ValueError as exc:
             return _fail(str(exc))
-    cd = char_data_from_exponents(beta)
-    sg = NumericalSemigroup(gens)
+    sg = cd.semigroup
     _emit(
         {
             "generators": list(sg.generators),
@@ -120,7 +115,6 @@ def cmd_lambda(args) -> int:
     vs = lambda_set(phi, kind)
     sg = phi.semigroup
     outside = [w for w in vs.finite_part if not sg.contains(w)]
-    lam = zariski_invariant(phi)
     witnesses = {}
     for w in outside:
         form = vs.witness(w)
@@ -130,7 +124,7 @@ def cmd_lambda(args) -> int:
         {
             "gamma": {"generators": list(sg.generators), "conductor": sg.conductor},
             key: outside,
-            "zariski_lambda": None if lam is MONOMIAL_CLASS else lam,
+            "zariski_lambda": zariski_invariant(phi),
             "witnesses": witnesses,
         },
         args.pretty,

@@ -8,20 +8,19 @@ with p of value > v0 and q of value > v1 along the branch; together with a
 reparametrization t -> rho(t) they transform one Puiseux parametrization
 into another with the same semigroup.  Applying a change is exact and runs
 on integers from the branch's series to the new branch's series: W =
-r**v1 y + q(x(t), y(t)) is built on the canonical numerators, and
+r**v1 y + q(x(t), y(t)) is built on the canonical numerators, and there
+are two paths:
 
   * with p = 0 and r = 1 the new y is W itself;
-  * with p = 0 and r != 1 the reparametrization is t -> r t, and each
-    coefficient is divided by r**e, on integer powers of r's numerator and
-    denominator over one common denominator;
   * otherwise the new x-coordinate r**v0 t**v0 + p(x(t), y(t)) is written
-    as (rho(t))**v0 by a v0-th root of a unit series w, rho**v1 is
-    (r t)**v1 w**(v1/v0) by the same recurrence, and the new y-coefficients
-    are obtained by a triangular solve against the powers of rho.  The
-    remainder and the current power of rho are integer numerator lists
-    over one denominator each, clearing an order is the same row step as
-    in the value-set elimination (``series._clear_lead``), and the solved
-    coefficients are collected as numerators over one denominator.
+    as (rho(t))**v0 by a v0-th root of a unit series w (w = 1 and
+    rho = r t when p = 0), rho**v1 is (r t)**v1 w**(v1/v0) by the same
+    recurrence, and the new y-coefficients are obtained by a triangular
+    solve against the powers of rho.  The remainder and the current power
+    of rho are integer numerator lists over one denominator each, clearing
+    an order is the same row step as in the value-set elimination
+    (``series._clear_lead``), and the solved coefficients are collected as
+    numerators over one denominator.
 
 The result goes to the branch constructor as a TSeries, so no rational is
 built on the way.
@@ -66,7 +65,6 @@ from .series import (
     series_root_unit,
 )
 from .valuation import (
-    MONOMIAL_CLASS,
     DifferentialForm,
     InternalError,
     form_witnesses,
@@ -140,8 +138,12 @@ def apply_coordinate_change(phi: PuiseuxParam, ch: CoordChange) -> PuiseuxParam:
 
     The output is trusted through the same truncation order N as the
     input: the reparametrization rho has order 1, so the unknown tail of
-    y enters the solved coefficients only at orders >= N.  The semigroup
-    and the leading coefficient are asserted to be preserved.
+    y enters the solved coefficients only at orders >= N.  The leading
+    coefficient and the semigroup are asserted to be preserved, the
+    semigroup by the characteristic exponents beta.  For a plane branch
+    beta and the semigroup generators determine each other (Zariski): the
+    generators are a function of beta, and ``char_exponents_from_generators``
+    inverts it, so equal beta is exactly equal generators.
     """
     v0, v1, N = phi.v0, phi.v1, phi.trunc
     r = rat(ch.r)
@@ -159,16 +161,6 @@ def apply_coordinate_change(phi: PuiseuxParam, ch: CoordChange) -> PuiseuxParam:
         W = W + qt
     if pt.is_zero() and r == 1:
         y = W
-    elif pt.is_zero():
-        # rho(t) = r t, so c_e becomes c_e / r**e; with r = a / b, a > 0,
-        # that is n_e b**e a**(top - e) over W.den a**top, top the last order
-        a, b = r.numerator, r.denominator
-        if a < 0:
-            a, b = -a, -b
-        top = max(W.nums)
-        y = TSeries._over(
-            N, W.den * a**top, {e: n * b**e * a ** (top - e) for e, n in W.nums.items()}
-        )
     else:
         # x becomes r**v0 t**v0 (1 + pt / (r**v0 t**v0)) = rho**v0
         w = TSeries.monomial(0, 1, N - v0) + pt.shift(-v0).scale(1 / r**v0)
@@ -205,10 +197,10 @@ def apply_coordinate_change(phi: PuiseuxParam, ch: CoordChange) -> PuiseuxParam:
     out = PuiseuxParam(v0, y, extra=phi.extra, label=phi.label)
     if out.lead_rescale is not None:
         raise InternalError("coordinate change disturbed the leading coefficient")
-    if out.semigroup.generators != phi.semigroup.generators:
+    if out.char.beta != phi.char.beta:
         raise InternalError(
             f"coordinate change altered the semigroup: "
-            f"{phi.semigroup.generators} -> {out.semigroup.generators}"
+            f"{phi.char.generators} -> {out.char.generators}"
         )
     return out
 
@@ -327,7 +319,7 @@ def _candidate_recipes(phi: PuiseuxParam, k: int, lam):
         )
         out.extend(v for _, v in variants)
     if (
-        lam is not MONOMIAL_CLASS
+        lam is not None
         and phi.char.n[1] == 2
         and phi.char.genus >= 2
         and k == v1 + lam - v0
@@ -415,7 +407,7 @@ def _solve_step(phi: PuiseuxParam, recipe: _Recipe, k: int, target):
 _CLEANUP_ROUNDS = 64
 
 
-def eliminate_term(phi: PuiseuxParam, k: int, lam=None):
+def eliminate_term(phi: PuiseuxParam, k: int, lam):
     """Remove the t**k term by one composed admissible change.
 
     k must be an eliminable order: above v1, different from the Zariski
@@ -423,15 +415,13 @@ def eliminate_term(phi: PuiseuxParam, k: int, lam=None):
     change replays bit-identically on the input.  The jet below k and the
     semigroup are preserved (verified, not assumed).
 
-    ``lam`` is the Zariski invariant of phi; it is computed when omitted.
-    It is an analytic invariant, so a reduction computes it once for the
-    input and passes it to every step.
+    ``lam`` is ``zariski_invariant(phi)``, None for the monomial class.  It
+    is an analytic invariant, so a reduction computes it once for the input
+    and passes it to every step.
     """
-    if lam is None:
-        lam = zariski_invariant(phi)
     if k <= phi.v1:
         raise ValueError(f"order {k} is not above v1 = {phi.v1}")
-    if lam is not MONOMIAL_CLASS and k == lam:
+    if k == lam:
         raise ValueError(f"order {k} is the Zariski invariant; it cannot be removed")
     recipes = _candidate_recipes(phi, k, lam)
     if not recipes:
@@ -483,7 +473,7 @@ def eliminate_term(phi: PuiseuxParam, k: int, lam=None):
 @dataclass
 class NormalFormResult:
     normal: PuiseuxParam
-    lam: object  # int, or None for the monomial class
+    lam: int | None  # None for the monomial class
     lambda_values: object  # ValueSet of the input (invariant, so also of normal)
     change_log: list = field(default_factory=list)
     free_exponents: list = field(default_factory=list)
@@ -497,7 +487,7 @@ def _eligible(work: PuiseuxParam, lam, lam_vs):
     for e in work.support():
         if e == work.v1:
             continue
-        if lam is not MONOMIAL_CLASS and e == lam:
+        if e == lam:
             continue
         if lam_vs.contains(e + work.v0):
             yield e
@@ -534,17 +524,16 @@ def to_normal_form(phi: PuiseuxParam) -> NormalFormResult:
             if k <= last:
                 raise InternalError(f"reduction is not advancing: {k} after {last}")
             last = k
-            work, ch = eliminate_term(work, k, lam=lam)
+            work, ch = eliminate_term(work, k, lam)
             log.append(ch)
             k = None
 
-        if lam is MONOMIAL_CLASS:
+        if lam is None:
             if work.support() != [phi.v1]:
                 raise InternalError(
                     f"monomial class should reduce to a single term, got {work.support()}"
                 )
             free = []
-            lam_out = None
         else:
             if lam not in work.y.nums:
                 raise InternalError(f"normal form lost its t^{lam} term")
@@ -560,7 +549,6 @@ def to_normal_form(phi: PuiseuxParam) -> NormalFormResult:
                 for e in range(lam + 1, phi.semigroup.conductor)
                 if not lam_vs.contains(e + phi.v0)
             ]
-            lam_out = lam
         stable = lambda_set(work, "Lambda")
         if (
             stable.finite_part != lam_vs.finite_part
@@ -576,7 +564,7 @@ def to_normal_form(phi: PuiseuxParam) -> NormalFormResult:
         raise
     return NormalFormResult(
         normal=work,
-        lam=lam_out,
+        lam=lam,
         lambda_values=lam_vs,
         change_log=log,
         free_exponents=free,
@@ -683,35 +671,3 @@ def decide_equivalence(
         homothety=witness,
     )
 
-
-# -- applicability of the elimination criteria ---------------------------
-
-
-def ec_applicability(phi: PuiseuxParam, j: int) -> list:
-    """Which elimination criteria certify that order j is removable.
-
-    EC1: j is a semigroup value (a q-only change works).
-    EC2: j + v0 - v1 is a semigroup value (a p-only change works).
-    EC3: j exceeds the Zariski invariant by an element of <v0, v1>.
-    EC:  j + v0 lies in Lambda and j is not the invariant itself — the
-         umbrella criterion containing the other three.
-    """
-    if j <= phi.v1:
-        raise ValueError(f"criteria apply to orders above v1 = {phi.v1}")
-    sg = phi.semigroup
-    lam = zariski_invariant(phi)
-    lam_vs = lambda_set(phi, "Lambda")
-    flags = []
-    if sg.contains(j):
-        flags.append("EC1")
-    if j + phi.v0 - phi.v1 >= 0 and sg.contains(j + phi.v0 - phi.v1):
-        flags.append("EC2")
-    if (
-        lam is not MONOMIAL_CLASS
-        and j > lam
-        and two_generator_rep(j - lam, phi.v0, phi.v1) is not None
-    ):
-        flags.append("EC3")
-    if lam_vs.contains(j + phi.v0) and (lam is MONOMIAL_CLASS or j != lam):
-        flags.append("EC")
-    return flags

@@ -9,23 +9,32 @@ characteristic exponents beta_0, ..., beta_g through
 with e_i = gcd(beta_0, ..., beta_i) = gcd(e_{i-1}, v_i).  Not every
 numerical semigroup arises this way: the e-chain must drop strictly to 1
 and each generator must satisfy v_{i+1} > n_i v_i.
+
+``char_data_from_exponents`` owns the class: one validated, frozen
+``CharData`` per beta, holding the generators and the semigroup, which
+every branch of the class shares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+CLASS_CACHE_SIZE = 256  # classes kept by char_data_from_exponents
 
 
 @dataclass(frozen=True)
 class CharData:
-    """Characteristic exponents and the derived discrete invariants."""
+    """Characteristic exponents, the derived invariants and the semigroup."""
 
     beta: tuple  # (beta_0, ..., beta_g), beta_0 = multiplicity
     e: tuple  # gcd chain, e_0 = beta_0 > e_1 > ... > e_g = 1
     n: tuple  # (1, n_1, ..., n_g) with n_i = e_{i-1}/e_i
     puiseux_pairs: tuple  # ((n_i, m_i))_{i=1..g} with m_i = beta_i / e_i
     genus: int
+    generators: tuple  # (v_0, ..., v_g)
+    semigroup: "NumericalSemigroup"
 
 
 class NumericalSemigroup:
@@ -127,7 +136,13 @@ def two_generator_rep(w: int, v0: int, v1: int):
 
 
 def char_data_from_exponents(beta) -> CharData:
-    beta = tuple(int(b) for b in beta)
+    """The class of the characteristic exponents beta, built once per beta;
+    ValueError if beta is not valid."""
+    return _char_data(tuple(int(b) for b in beta))
+
+
+@lru_cache(maxsize=CLASS_CACHE_SIZE)
+def _char_data(beta: tuple) -> CharData:
     if len(beta) < 1 or beta[0] < 2:
         raise ValueError("need a multiplicity beta_0 >= 2")
     if any(b2 <= b1 for b1, b2 in zip(beta, beta[1:])):
@@ -139,63 +154,46 @@ def char_data_from_exponents(beta) -> CharData:
         raise ValueError("gcd chain must drop strictly to 1")
     n = [1] + [e[i - 1] // e[i] for i in range(1, len(e))]
     pairs = tuple((n[i], beta[i] // e[i]) for i in range(1, len(beta)))
-    return CharData(beta=beta, e=tuple(e), n=tuple(n), puiseux_pairs=pairs, genus=len(beta) - 1)
+    v = list(beta[:2])
+    for i in range(1, len(beta) - 1):
+        v.append(n[i] * v[i] + beta[i + 1] - beta[i])
+    return CharData(beta=beta, e=tuple(e), n=tuple(n), puiseux_pairs=pairs,
+                    genus=len(beta) - 1, generators=tuple(v),
+                    semigroup=NumericalSemigroup(v))
 
 
 def generators_from_char_exponents(beta):
     """Semigroup generators (v_0, ..., v_g) from characteristic exponents."""
-    cd = char_data_from_exponents(beta)
-    beta = cd.beta
-    v = [beta[0]]
-    if cd.genus >= 1:
-        v.append(beta[1])
-    for i in range(1, cd.genus):
-        v.append(cd.n[i] * v[i] + beta[i + 1] - beta[i])
-    return tuple(v)
+    return char_data_from_exponents(beta).generators
 
 
 def char_exponents_from_generators(gens):
-    """Inverse of generators_from_char_exponents; validates on the way."""
+    """Inverse of generators_from_char_exponents; validates on the way.
+
+    Raises ValueError unless gens are the minimal generators of the
+    semigroup of a plane branch, or (1,), that of a smooth one.
+    """
     v = tuple(int(g) for g in gens)
-    ok, reason = _plane_branch_checks(v)
-    if not ok:
-        raise ValueError(f"not a plane branch semigroup: {reason}")
-    beta = [v[0]]
-    if len(v) >= 2:
-        beta.append(v[1])
-    e = [v[0], math.gcd(v[0], v[1])] if len(v) >= 2 else [v[0]]
-    for i in range(1, len(v) - 1):
-        n_i = e[i - 1] // e[i]
-        beta.append(v[i + 1] - n_i * v[i] + beta[i])
-        e.append(math.gcd(e[i], v[i + 1]))
-    return tuple(beta)
-
-
-def _plane_branch_checks(v):
+    bad = "not a plane branch semigroup: "
     if len(v) < 2:
-        return (len(v) == 1 and v[0] == 1), "a single generator must be 1"
+        if v == (1,):
+            return v
+        raise ValueError(bad + "a single generator must be 1")
     if v[0] < 2:
-        return False, "multiplicity must be >= 2"
+        raise ValueError(bad + "multiplicity must be >= 2")
     if any(b <= a for a, b in zip(v, v[1:])):
-        return False, "generators must increase strictly"
+        raise ValueError(bad + "generators must increase strictly")
     e = [v[0]]
     for g in v[1:]:
         e.append(math.gcd(e[-1], g))
     if any(e2 >= e1 for e1, e2 in zip(e, e[1:])):
-        return False, "gcd chain must drop strictly at every generator"
+        raise ValueError(bad + "gcd chain must drop strictly at every generator")
     if e[-1] != 1:
-        return False, "gcd of all generators must be 1"
+        raise ValueError(bad + "gcd of all generators must be 1")
+    beta = list(v[:2])
     for i in range(1, len(v) - 1):
         n_i = e[i - 1] // e[i]
         if v[i + 1] <= n_i * v[i]:
-            return False, f"generator v_{i + 1} must exceed n_{i} * v_{i}"
-    return True, ""
-
-
-def validate_plane_branch_semigroup(gens) -> bool:
-    """Can these generators be the value semigroup of a plane branch?"""
-    try:
-        v = tuple(int(g) for g in gens)
-    except (TypeError, ValueError):
-        return False
-    return _plane_branch_checks(v)[0]
+            raise ValueError(bad + f"generator v_{i + 1} must exceed n_{i} * v_{i}")
+        beta.append(v[i + 1] - n_i * v[i] + beta[i])
+    return tuple(beta)

@@ -32,8 +32,9 @@ thresholds and the Zariski invariant all read it, and callers ask for
 each of those once per branch.
 
 The smallest element of Lambda outside Gamma (``differential_gaps``),
-minus v0, is the Zariski invariant lambda; branches whose Lambda adds nothing to the semigroup
-form the monomial class (equivalent to (t^v0, t^v1)) and get a sentinel.
+minus v0, is the Zariski invariant lambda.  Branches whose Lambda adds
+nothing to the semigroup form the monomial class (equivalent to
+(t^v0, t^v1)); their lambda is None, which ``MONOMIAL_CLASS`` names.
 """
 
 from __future__ import annotations
@@ -53,24 +54,7 @@ from .series import (
 )
 
 
-class _MonomialClass:
-    """Sentinel: the branch has no differential values outside its semigroup."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "MonomialClass"
-
-    def __bool__(self):
-        return False
-
-
-MONOMIAL_CLASS = _MonomialClass()
+MONOMIAL_CLASS = None  # lambda of a branch whose Lambda adds nothing to Gamma
 
 
 class InternalError(RuntimeError):
@@ -101,7 +85,8 @@ class ValueSet:
     everything from ``all_above`` on is attained.  ``witnesses`` maps each
     listed value to a BiPoly (Gamma) or DifferentialForm (Lambda family)
     realizing it; the map extends beyond ``all_above`` up to the
-    enumeration window ``decided_to``.
+    enumeration window ``decided_to``.  The constructor checks that window:
+    a value in [all_above, decided_to] without a witness raises InternalError.
     """
 
     __slots__ = ("kind", "finite_part", "finite_set", "all_above", "witnesses", "decided_to")
@@ -254,14 +239,6 @@ def _witness_pair(X, d):
     return BiPoly(H, _clean=True), BiPoly(G, _clean=True)
 
 
-def _assert_window_filled(kind, values, all_above, decided_to):
-    missing = [w for w in range(all_above, decided_to + 1) if w not in values]
-    if missing:
-        raise InternalError(
-            f"{kind}: threshold {all_above} is wrong; {missing[:5]} not attained"
-        )
-
-
 def function_witnesses(phi: PuiseuxParam, top: int) -> dict:
     """{value: polynomial} for every function value <= top along phi.
 
@@ -388,7 +365,6 @@ def lambda_set(phi: PuiseuxParam, kind: str = "Lambda") -> ValueSet:
         # (realized by X * h running over function values >= c).
         lam = differential_gaps(phi)
         all_above = c + v0 if lam else c + 2 * v0
-    _assert_window_filled(kind, values, all_above, cap)
     finite = [w for w in values if w < all_above]
 
     vs = ValueSet(
@@ -416,8 +392,8 @@ def differential_gaps(phi: PuiseuxParam) -> list:
     return [w for w in lambda_set(phi, "Lambda").finite_part if not sg.contains(w)]
 
 
-def zariski_invariant(phi: PuiseuxParam):
-    """min(Lambda minus Gamma) - v0, or the monomial-class sentinel.
+def zariski_invariant(phi: PuiseuxParam) -> int | None:
+    """min(Lambda minus Gamma) - v0, or None for the monomial class.
 
     When the branch is literally in the reduced shape (second y-exponent
     equal to the invariant), the independent formula through the form
@@ -425,7 +401,7 @@ def zariski_invariant(phi: PuiseuxParam):
     """
     gaps = differential_gaps(phi)
     if not gaps:
-        return MONOMIAL_CLASS
+        return None
     lam = gaps[0] - phi.v0
     tail = [e for e in phi.support() if e != phi.v1]
     if tail and tail[0] == lam:
@@ -460,7 +436,7 @@ def s_sandwich_check(phi: PuiseuxParam) -> dict:
     raises InternalError.
     """
     lam = zariski_invariant(phi)
-    if lam is MONOMIAL_CLASS:
+    if lam is None:
         raise ValueError("the sandwich needs a branch outside the monomial class")
     v0, v1 = phi.v0, phi.v1
     big = lambda_set(phi, "Lambda")

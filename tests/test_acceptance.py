@@ -347,7 +347,7 @@ def test_check_5f_elimination_preserves_jet():
     # coefficient moves, so every reduction in this file exercises it;
     # run one explicit elimination and inspect the jet by hand
     phi = _branch(7, {8: 1, 10: 1, 16: 1})
-    work, ch = eliminate_term(phi, 16)
+    work, ch = eliminate_term(phi, 16, zariski_invariant(phi))
     assert work.coeff(16) == 0
     for e in (8, 10):
         assert work.coeff(e) == phi.coeff(e)

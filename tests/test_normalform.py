@@ -16,7 +16,6 @@ from planebranch import (
     bipoly_pullback,
     compose_changes,
     decide_equivalence,
-    ec_applicability,
     eliminate_term,
     homothety_solve,
     lambda_set,
@@ -25,8 +24,9 @@ from planebranch import (
     to_normal_form,
     zariski_invariant,
 )
-from planebranch import normalform
+from planebranch import normalform, semigroup
 from planebranch.normalform import _Recipe, _affine_slope, _candidate_recipes
+from planebranch.semigroup import char_data_from_exponents, two_generator_rep
 from planebranch.series import R1, TSeries
 from planebranch.valuation import form_witnesses, integrand
 
@@ -135,6 +135,27 @@ class TestApplyChange:
             both = compose_changes(left, right, 4, 6)
             assert both.r == ch.r and both.p == ch.p and both.q == ch.q
 
+    def test_altered_semigroup_raises(self, monkeypatch):
+        # no admissible change alters beta, so the output is given another
+        # class after it is built; the check compares beta, which for a
+        # plane branch is the same as comparing the semigroup generators
+        real = normalform.PuiseuxParam
+
+        def other_class(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out.char = char_data_from_exponents((7, 9))
+            out.semigroup = out.char.semigroup
+            return out
+
+        monkeypatch.setattr(normalform, "PuiseuxParam", other_class)
+        phi = branch(7, {8: 1, 10: 1})
+        ch = CoordChange(r=rat(1), p=BiPoly.zero(), q=bp((0, 2, "1")))
+        with pytest.raises(
+            InternalError,
+            match=r"coordinate change altered the semigroup: \(7, 8\) -> \(7, 9\)",
+        ):
+            apply_coordinate_change(phi, ch)
+
     def test_change_json_round_trip(self):
         ch = CoordChange(r=rat("-5/3"), p=bp((2, 0, "1/7")), q=bp((0, 2, "3")))
         again = CoordChange.from_dict(ch.to_dict())
@@ -220,7 +241,7 @@ class TestApplyChangeAgainstSeriesSolve:
     @settings(deadline=None, max_examples=100)
     @given(changes(p_zero=True))
     def test_scaling_matches_rational_formula(self, phi_ch):
-        # p = 0: r = 1 returns W itself, r != 1 scales on integers
+        # p = 0: r = 1 returns W itself, r != 1 is the solve with rho = r t
         phi, ch = phi_ch
         got = apply_coordinate_change(phi, ch)
         assert_canonical_branch(got)
@@ -250,7 +271,7 @@ class TestEliminateTerm:
     def test_semigroup_value_uses_quadratic_monomial(self):
         # 16 = 2*8: the change (X, Y + s Y^2) removes t^16, s solved exactly
         phi = branch(7, {8: 1, 10: 1, 16: 1})
-        out, ch = eliminate_term(phi, 16)
+        out, ch = eliminate_term(phi, 16, zariski_invariant(phi))
         assert out.coeff(16) == 0
         assert out.coeff(8) == 1 and out.coeff(10) == 1
         assert ch.r == 1 and ch.p.is_zero()
@@ -259,7 +280,7 @@ class TestEliminateTerm:
     def test_shifted_semigroup_value_uses_p_change(self):
         # 17 is not in <7,8> but 17 + 7 - 8 = 16 is: a p-only change applies
         phi = branch(7, {8: 1, 10: 1, 17: 5})
-        out, ch = eliminate_term(phi, 17)
+        out, ch = eliminate_term(phi, 17, zariski_invariant(phi))
         assert out.coeff(17) == 0
         for e in range(9, 17):
             assert out.terms.get(e) == phi.terms.get(e)
@@ -268,7 +289,7 @@ class TestEliminateTerm:
 
     def test_replay_of_composed_change(self):
         phi = branch(7, {8: 1, 10: 1, 17: 5})
-        out, ch = eliminate_term(phi, 17)
+        out, ch = eliminate_term(phi, 17, zariski_invariant(phi))
         assert apply_coordinate_change(phi, ch) == out
 
     def test_differential_witness_step(self):
@@ -279,7 +300,7 @@ class TestEliminateTerm:
         phi = branch(6, {9: 1, 13: 1, 16: 1})
         lam = zariski_invariant(phi)
         assert lam == 13
-        out, ch = eliminate_term(phi, 16)
+        out, ch = eliminate_term(phi, 16, lam)
         assert out.coeff(16) == 0
         # jet below 16 untouched (13 is the invariant and must stay)
         assert out.coeff(13) == 1
@@ -291,7 +312,7 @@ class TestEliminateTerm:
         # k = 19 = v2 of <6,9,19>: in the semigroup but not in <6,9>, so the
         # function witness comes from the value-semigroup elimination table.
         phi = branch(6, {9: 1, 10: 1, 19: 1})
-        out, ch = eliminate_term(phi, 19)
+        out, ch = eliminate_term(phi, 19, zariski_invariant(phi))
         assert out.coeff(19) == 0
         for e in range(7, 19):
             assert out.terms.get(e) == phi.terms.get(e)
@@ -300,12 +321,12 @@ class TestEliminateTerm:
         phi = branch(7, {8: 1, 10: 1})
         assert zariski_invariant(phi) == 10
         with pytest.raises(ValueError):
-            eliminate_term(phi, 10)
+            eliminate_term(phi, 10, zariski_invariant(phi))
 
     def test_refuses_low_orders(self):
         phi = branch(7, {8: 1, 10: 1})
         with pytest.raises(ValueError):
-            eliminate_term(phi, 8)
+            eliminate_term(phi, 8, zariski_invariant(phi))
 
     def test_refuses_non_eliminable_order(self):
         # 11 + 7 = 18 is not in Lambda of (t^7, t^8 + t^10 + t^11): no recipe
@@ -313,7 +334,7 @@ class TestEliminateTerm:
         lamvs = lambda_set(phi, "Lambda")
         assert not lamvs.contains(18)
         with pytest.raises(ValueError):
-            eliminate_term(phi, 11)
+            eliminate_term(phi, 11, zariski_invariant(phi))
 
     @pytest.mark.parametrize(
         "v0, coeffs, k, name, safe",
@@ -370,7 +391,7 @@ class TestEliminateTerm:
         )
         phi = branch(6, {9: 1, 13: 1, 16: 1})
         with pytest.raises(InternalError, match="recipe witness failed to set order 16"):
-            eliminate_term(phi, 16)
+            eliminate_term(phi, 16, zariski_invariant(phi))
 
     @pytest.mark.parametrize(
         "v0, coeffs",
@@ -391,6 +412,29 @@ class TestEliminateTerm:
 
 
 class TestToNormalForm:
+    def test_class_is_built_once_and_shared(self, monkeypatch):
+        # one sieve per beta: the input builds the class, and every branch
+        # of the reduction and of its replay holds that same record
+        semigroup._char_data.cache_clear()
+        sieves = []
+        real = semigroup.NumericalSemigroup.__init__
+
+        def counting(self, generators):
+            sieves.append(tuple(generators))
+            real(self, generators)
+
+        monkeypatch.setattr(semigroup.NumericalSemigroup, "__init__", counting)
+        phi = branch(6, {9: 1, 10: 1, 11: 1, 13: 2})
+        res = to_normal_form(phi)
+        assert len(res.change_log) >= 2
+        assert sieves == [(6, 9, 19)]
+        assert res.normal.char is phi.char
+        work = phi
+        for ch in res.change_log:
+            work = apply_coordinate_change(work, ch)
+            assert work.char is phi.char and work.semigroup is phi.semigroup
+        assert work == res.normal
+
     def test_single_semigroup_tail_gives_monomial(self):
         phi = branch(7, {8: 1, 16: 1})
         res = to_normal_form(phi)
@@ -591,6 +635,32 @@ class TestDecideEquivalence:
 
 
 # -- elimination-criteria report ------------------------------------------
+
+
+def ec_applicability(phi, j):
+    """Which elimination criteria certify that order j is removable.
+
+    EC1: j is a semigroup value (a q-only change works).
+    EC2: j + v0 - v1 is a semigroup value (a p-only change works).
+    EC3: j exceeds the Zariski invariant by an element of <v0, v1>.
+    EC:  j + v0 lies in Lambda and j is not the invariant itself — the
+         umbrella criterion containing the other three.
+    """
+    if j <= phi.v1:
+        raise ValueError(f"criteria apply to orders above v1 = {phi.v1}")
+    sg = phi.semigroup
+    lam = zariski_invariant(phi)
+    lam_vs = lambda_set(phi, "Lambda")
+    flags = []
+    if sg.contains(j):
+        flags.append("EC1")
+    if j + phi.v0 - phi.v1 >= 0 and sg.contains(j + phi.v0 - phi.v1):
+        flags.append("EC2")
+    if lam is not None and j > lam and two_generator_rep(j - lam, phi.v0, phi.v1) is not None:
+        flags.append("EC3")
+    if lam_vs.contains(j + phi.v0) and j != lam:
+        flags.append("EC")
+    return flags
 
 
 class TestECApplicability:

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from planebranch.semigroup import (
     NumericalSemigroup,
+    char_data_from_exponents,
     char_exponents_from_generators,
     generators_from_char_exponents,
     two_generator_rep,
-    validate_plane_branch_semigroup,
 )
 
 
@@ -39,6 +39,26 @@ def conductor_formula(gens) -> int:
         n_i = e[i - 1] // e[i]
         total += (n_i - 1) * v[i]
     return total - v[0] + 1
+
+
+@st.composite
+def char_exponents(draw):
+    """Valid characteristic exponents of genus 1 to 3.
+
+    The gcd chain e_0 > ... > e_g = 1 drops by n_i in 2..4 at each step,
+    and beta_i = m_i e_i with m_i prime to n_i, so gcd(e_{i-1}, beta_i)
+    is exactly e_i.
+    """
+    ns = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    e = math.prod(ns)
+    beta = [e]
+    for n in ns:
+        e //= n
+        m = beta[-1] // e + draw(st.integers(1, 6))
+        while math.gcd(m, n) != 1:
+            m += 1
+        beta.append(m * e)
+    return tuple(beta)
 
 
 class TestSemigroupTable:
@@ -103,7 +123,6 @@ class TestCharacteristicExponents:
         for beta in [(7, 8), (6, 9, 10), (4, 6, 7), (4, 10, 11), (6, 8, 9), (12, 18, 21, 22)]:
             v = generators_from_char_exponents(beta)
             assert char_exponents_from_generators(v) == tuple(beta)
-            assert validate_plane_branch_semigroup(v)
 
     def test_conductor_closed_form(self):
         for beta in [(7, 8), (6, 9, 10), (4, 6, 7), (8, 12, 14, 15), (4, 10, 11)]:
@@ -118,23 +137,39 @@ class TestCharacteristicExponents:
         with pytest.raises(ValueError):
             generators_from_char_exponents([1, 2])
 
+    @settings(max_examples=200, deadline=None)
+    @given(char_exponents())
+    def test_round_trip_on_random_exponents(self, beta):
+        v = generators_from_char_exponents(beta)
+        assert char_exponents_from_generators(v) == beta
+        # the generators of the class are the minimal ones of its semigroup
+        assert char_data_from_exponents(beta).semigroup.generators == v
+
 
 class TestPlaneBranchValidation:
+    """char_exponents_from_generators accepts exactly the semigroups of
+    plane branches, and raises ValueError on anything else."""
+
     def test_accepts(self):
         for v in [(7, 8), (6, 9, 19), (4, 6, 13), (8, 12, 26, 53), (2, 3), (5, 7)]:
-            assert validate_plane_branch_semigroup(v)
+            assert generators_from_char_exponents(char_exponents_from_generators(v)) == v
 
     def test_rejects(self):
-        assert not validate_plane_branch_semigroup((4, 6))  # gcd 2
-        assert not validate_plane_branch_semigroup((6, 9, 10))  # 10 <= 2 * 9
-        assert not validate_plane_branch_semigroup((4, 5, 6))  # chain hits 1 early
-        assert not validate_plane_branch_semigroup((1, 2))
-        assert not validate_plane_branch_semigroup((7, 7))
-        assert not validate_plane_branch_semigroup(())
+        for v, reason in [
+            ((4, 6), "gcd of all generators must be 1"),
+            ((6, 9, 10), "generator v_2 must exceed n_1 \\* v_1"),  # 10 <= 2 * 9
+            ((4, 5, 6), "gcd chain must drop strictly"),  # chain hits 1 early
+            ((1, 2), "multiplicity must be >= 2"),
+            ((7, 7), "generators must increase strictly"),
+            ((), "a single generator must be 1"),
+        ]:
+            with pytest.raises(ValueError, match="not a plane branch semigroup: " + reason):
+                char_exponents_from_generators(v)
 
     def test_single_generator(self):
-        assert validate_plane_branch_semigroup((1,))
-        assert not validate_plane_branch_semigroup((3,))
+        assert char_exponents_from_generators((1,)) == (1,)
+        with pytest.raises(ValueError, match="a single generator must be 1"):
+            char_exponents_from_generators((3,))
 
 
 class TestTwoGeneratorRep:

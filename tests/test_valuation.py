@@ -12,6 +12,7 @@ from planebranch.valuation import (
     MONOMIAL_CLASS,
     DifferentialForm,
     InternalError,
+    ValueSet,
     _eliminate,
     _form_rows,
     _function_rows,
@@ -301,6 +302,14 @@ class TestLambdaSets:
             assert a.all_above == b.all_above
 
 
+class TestValueSetWindow:
+    def test_hole_above_the_threshold_raises(self):
+        # everything from all_above through decided_to must have a witness
+        witnesses = {w: BiPoly.monomial(w, 0) for w in (7, 8, 9, 11)}
+        with pytest.raises(InternalError, match="value 10 >= all_above=8 was not attained"):
+            ValueSet("Gamma", [7], 8, witnesses, 11)
+
+
 class TestZariskiInvariant:
     def test_known_values(self):
         assert zariski_invariant(branch(7, e8=1, e10=1)) == 10
@@ -313,7 +322,7 @@ class TestZariskiInvariant:
         assert zariski_invariant(branch(7, e8=1)) is MONOMIAL_CLASS
         assert zariski_invariant(branch(2, e3=1)) is MONOMIAL_CLASS
         assert zariski_invariant(branch(7, e8=1, e16=1)) is MONOMIAL_CLASS
-        assert not MONOMIAL_CLASS  # falsy sentinel
+        assert MONOMIAL_CLASS is None
 
     def test_invariant_not_in_semigroup(self):
         for phi in [
