@@ -8,8 +8,8 @@ CLI runs three times in fresh processes (import, branch, reduction and
 output are all timed); each rung records the median wall time and the
 sha256 of stdout.  Every run of a rung must print the same bytes and exit
 0, or the script stops.  ``src_lines`` gives the lines of each module of
-the measured ``src/planebranch``, counted as ``bench/run.py`` counts them,
-so source size sits next to the timings.
+the measured ``src/planebranch``, as that tree's ``bench/run.py`` counts
+them, so source size sits next to the timings.
 
     python scripts/ladder.py
     python scripts/ladder.py --root ../other-checkout
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -70,8 +71,11 @@ def run_rung(root: Path, v0: int) -> dict:
 
 
 def source_lines(root: Path) -> dict:
-    return {p.stem: len(p.read_text(encoding="utf-8").splitlines())
-            for p in sorted((root / "src" / "planebranch").glob("*.py"))}
+    """``source_lines()`` of the tree's own ``bench/run.py``."""
+    spec = importlib.util.spec_from_file_location("bench_run", root / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.source_lines()
 
 
 def git(root: Path, *args) -> str | None:

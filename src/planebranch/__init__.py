@@ -34,7 +34,6 @@ from .semigroup import (
     CharData,
     NumericalSemigroup,
     char_exponents_from_generators,
-    generators_from_char_exponents,
 )
 from .series import (
     AboveTruncation,
@@ -84,7 +83,6 @@ __all__ = [
     "compose_changes",
     "decide_equivalence",
     "eliminate_term",
-    "generators_from_char_exponents",
     "homothety_solve",
     "lambda_set",
     "load_samples",

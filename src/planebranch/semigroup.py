@@ -12,7 +12,7 @@ and each generator must satisfy v_{i+1} > n_i v_i.
 
 ``char_data_from_exponents`` owns the class: one validated, frozen
 ``CharData`` per beta, holding the generators and the semigroup, which
-every branch of the class shares.
+the branches of one reduction share.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-CLASS_CACHE_SIZE = 256  # classes kept by char_data_from_exponents
+# Classes kept by char_data_from_exponents.  Every branch of one reduction
+# has the input's beta, so a reduction needs one class, and
+# decide_equivalence reduces two inputs: two classes cover both.
+CLASS_CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -136,8 +139,8 @@ def two_generator_rep(w: int, v0: int, v1: int):
 
 
 def char_data_from_exponents(beta) -> CharData:
-    """The class of the characteristic exponents beta, built once per beta;
-    ValueError if beta is not valid."""
+    """The class of the characteristic exponents beta; ValueError if beta
+    is not valid.  The last CLASS_CACHE_SIZE classes are kept."""
     return _char_data(tuple(int(b) for b in beta))
 
 
@@ -162,13 +165,10 @@ def _char_data(beta: tuple) -> CharData:
                     semigroup=NumericalSemigroup(v))
 
 
-def generators_from_char_exponents(beta):
-    """Semigroup generators (v_0, ..., v_g) from characteristic exponents."""
-    return char_data_from_exponents(beta).generators
-
-
 def char_exponents_from_generators(gens):
-    """Inverse of generators_from_char_exponents; validates on the way.
+    """Characteristic exponents from the generators; validates on the way.
+
+    The inverse of ``char_data_from_exponents(beta).generators``.
 
     Raises ValueError unless gens are the minimal generators of the
     semigroup of a plane branch, or (1,), that of a smooth one.

@@ -9,7 +9,6 @@ from planebranch.semigroup import (
     NumericalSemigroup,
     char_data_from_exponents,
     char_exponents_from_generators,
-    generators_from_char_exponents,
     two_generator_rep,
 )
 
@@ -107,13 +106,13 @@ class TestSemigroupTable:
 
 class TestCharacteristicExponents:
     def test_spec_families(self):
-        assert generators_from_char_exponents([7, 8]) == (7, 8)
-        assert generators_from_char_exponents([6, 9, 10]) == (6, 9, 19)
-        assert generators_from_char_exponents([4, 6, 7]) == (4, 6, 13)
+        assert char_data_from_exponents([7, 8]).generators == (7, 8)
+        assert char_data_from_exponents([6, 9, 10]).generators == (6, 9, 19)
+        assert char_data_from_exponents([4, 6, 7]).generators == (4, 6, 13)
 
     def test_genus_three_chain(self):
         beta = (8, 12, 14, 15)
-        v = generators_from_char_exponents(beta)
+        v = char_data_from_exponents(beta).generators
         assert v == (8, 12, 26, 53)
         assert char_exponents_from_generators(v) == beta
         s = NumericalSemigroup(v)
@@ -121,26 +120,26 @@ class TestCharacteristicExponents:
 
     def test_round_trip(self):
         for beta in [(7, 8), (6, 9, 10), (4, 6, 7), (4, 10, 11), (6, 8, 9), (12, 18, 21, 22)]:
-            v = generators_from_char_exponents(beta)
+            v = char_data_from_exponents(beta).generators
             assert char_exponents_from_generators(v) == tuple(beta)
 
     def test_conductor_closed_form(self):
         for beta in [(7, 8), (6, 9, 10), (4, 6, 7), (8, 12, 14, 15), (4, 10, 11)]:
-            v = generators_from_char_exponents(beta)
+            v = char_data_from_exponents(beta).generators
             assert NumericalSemigroup(v).conductor == conductor_formula(v)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
-            generators_from_char_exponents([6, 9])  # gcd never reaches 1
+            char_data_from_exponents([6, 9])  # gcd never reaches 1
         with pytest.raises(ValueError):
-            generators_from_char_exponents([6, 12, 13])  # no gcd drop at 12
+            char_data_from_exponents([6, 12, 13])  # no gcd drop at 12
         with pytest.raises(ValueError):
-            generators_from_char_exponents([1, 2])
+            char_data_from_exponents([1, 2])
 
     @settings(max_examples=200, deadline=None)
     @given(char_exponents())
     def test_round_trip_on_random_exponents(self, beta):
-        v = generators_from_char_exponents(beta)
+        v = char_data_from_exponents(beta).generators
         assert char_exponents_from_generators(v) == beta
         # the generators of the class are the minimal ones of its semigroup
         assert char_data_from_exponents(beta).semigroup.generators == v
@@ -152,7 +151,7 @@ class TestPlaneBranchValidation:
 
     def test_accepts(self):
         for v in [(7, 8), (6, 9, 19), (4, 6, 13), (8, 12, 26, 53), (2, 3), (5, 7)]:
-            assert generators_from_char_exponents(char_exponents_from_generators(v)) == v
+            assert char_data_from_exponents(char_exponents_from_generators(v)).generators == v
 
     def test_rejects(self):
         for v, reason in [
