@@ -4,10 +4,10 @@ A branch is given as (t**v0, sum a_i t**i) with leading y-exponent v1,
 v0 < v1, v0 not dividing v1, and gcd(v0, support) = 1 so the
 parametrization is primitive.  The constructor derives the characteristic
 exponents beta from the full support, takes ``char`` and ``semigroup``
-from the class ``char_data_from_exponents(beta)``, shared with every branch
-a coordinate change builds from this one, fixes the working truncation N = conductor + 2 v0 + 1
-(+ optional head-room), and only then discards exponents >= N — they can
-influence no membership decision below N and no normal-form coefficient.
+from the class ``char_data_from_exponents(beta)``, which coordinate
+changes share, fixes the working truncation N = conductor + 2 v0 + 1
+(+ optional head-room), and only then discards exponents >= N — they
+can influence no membership decision below N and no normal-form coefficient.
 
 y is held as its canonical TSeries cut at N, in the slot ``y``: integer
 numerators over one positive denominator, in lowest terms.  Structural
