@@ -30,6 +30,12 @@ Sample coefficients live in data/repro_samples.json; conditions are
 re-checked against the file at run time so a report documents exactly
 which inequality or pin each row exercises.  Reports are plain dicts of
 JSON-compatible values, deterministic for a fixed samples file.
+
+Both tables run through one runner, ``_run_table``: it looks up each
+row's samples, builds the row with ``build_table_row``, checks its
+conditions and turns a failure inside the row into that row's error.
+Each table adds only its own check.  A samples file that lacks a suite,
+a row or the seed raises ValueError before any row runs.
 """
 
 from __future__ import annotations
@@ -48,8 +54,6 @@ from .normalform import (
 )
 from .series import BiPoly, R1, rat
 from .valuation import differential_gaps
-
-EXAMPLE_IDS = ("7.1", "7.2", "zariski-counterexample")
 
 
 def load_samples(path=None) -> dict:
@@ -91,14 +95,15 @@ def random_coordinate_change(rng: random.Random, v0: int, v1: int) -> CoordChang
 # -- the <7, 8> table -----------------------------------------------------
 
 
-def _pin12(a11):
-    """Value of the order-12 coefficient on the first stratum boundary."""
-    return (13 + 9 * a11 * a11) / rat(8)
+def _relation(lhs: str, rhs: str, gap):
+    """The relation lhs = rhs, whose sides differ by gap(s) at samples s.
 
-
-def _pin13(a11):
-    """Value of the order-13 coefficient on the second stratum boundary."""
-    return rat(39, 10) * a11 + rat(27, 20) * a11 ** 3
+    ``cond(s, on)`` is the row condition "lhs = rhs" when ``on`` and
+    "lhs != rhs" otherwise, with whether the samples honor it.
+    """
+    def cond(s, on):
+        return f"{lhs} {'=' if on else '!='} {rhs}", (gap(s) == 0) == on
+    return cond
 
 
 def _pin20(a11, a19):
@@ -114,12 +119,21 @@ def _pin20(a11, a19):
     )
 
 
-def _pin20_cond():
-    return (
-        "a20 != (11/4) a11 a19 - 357/512 - (47399/2560) a11^2 "
-        "- (10097/320) a11^4 - (17523/1280) a11^6 - (2187/1280) a11^8"
-    )
-
+# the boundaries between the first four strata (the t^10 family), then
+# the pins of the t^13 and t^18 families
+_A12 = _relation("a12", "(13 + 9 a11^2)/8",
+                 lambda s: s["a12"] - (13 + 9 * s["a11"] * s["a11"]) / rat(8))
+_A13 = _relation("a13", "(39/10) a11 + (27/20) a11^3",
+                 lambda s: s["a13"] - rat(39, 10) * s["a11"] - rat(27, 20) * s["a11"] ** 3)
+_A20 = _relation(
+    "a20",
+    "(11/4) a11 a19 - 357/512 - (47399/2560) a11^2 "
+    "- (10097/320) a11^4 - (17523/1280) a11^6 - (2187/1280) a11^8",
+    lambda s: s["a20"] - _pin20(s["a11"], s["a19"]),
+)
+_A18 = _relation("a18", "-1/2", lambda s: s["a18"] + rat(1, 2))
+_A20_T18 = _relation("a20", "(121/120) a19^2",
+                     lambda s: s["a20"] - rat(121, 120) * s["a19"] ** 2)
 
 # Each row: expected differential values outside <7, 8>, a terms builder,
 # and the condition checks its samples must honor.  The most generic
@@ -130,41 +144,28 @@ _ROWS_78 = (
         expected=(17, 25, 26, 33, 34, 41),
         build=lambda s: {8: R1, 10: R1, 11: s["a11"], 12: s["a12"],
                          13: s["a13"], 20: s["a20"]},
-        honors=lambda s: [
-            ("a12 != (13 + 9 a11^2)/8", s["a12"] != _pin12(s["a11"])),
-        ],
+        honors=lambda s: [_A12(s, False)],
     ),
     dict(
         row=2,
         expected=(17, 25, 27, 33, 34, 41),
         build=lambda s: {8: R1, 10: R1, 11: s["a11"], 12: s["a12"],
                          13: s["a13"], 19: s["a19"]},
-        honors=lambda s: [
-            ("a12 = (13 + 9 a11^2)/8", s["a12"] == _pin12(s["a11"])),
-            ("a13 != (39/10) a11 + (27/20) a11^3", s["a13"] != _pin13(s["a11"])),
-        ],
+        honors=lambda s: [_A12(s, True), _A13(s, False)],
     ),
     dict(
         row=3,
         expected=(17, 25, 33, 34, 41),
         build=lambda s: {8: R1, 10: R1, 11: s["a11"], 12: s["a12"],
                          13: s["a13"], 19: s["a19"], 20: s["a20"]},
-        honors=lambda s: [
-            ("a12 = (13 + 9 a11^2)/8", s["a12"] == _pin12(s["a11"])),
-            ("a13 = (39/10) a11 + (27/20) a11^3", s["a13"] == _pin13(s["a11"])),
-            (_pin20_cond(), s["a20"] != _pin20(s["a11"], s["a19"])),
-        ],
+        honors=lambda s: [_A12(s, True), _A13(s, True), _A20(s, False)],
     ),
     dict(
         row=4,
         expected=(17, 25, 33, 41),
         build=lambda s: {8: R1, 10: R1, 11: s["a11"], 12: s["a12"],
                          13: s["a13"], 19: s["a19"], 20: s["a20"], 27: s["a27"]},
-        honors=lambda s: [
-            ("a12 = (13 + 9 a11^2)/8", s["a12"] == _pin12(s["a11"])),
-            ("a13 = (39/10) a11 + (27/20) a11^3", s["a13"] == _pin13(s["a11"])),
-            (_pin20_cond().replace("!=", "="), s["a20"] == _pin20(s["a11"], s["a19"])),
-        ],
+        honors=lambda s: [_A12(s, True), _A13(s, True), _A20(s, True)],
     ),
     dict(
         row=5,
@@ -182,29 +183,25 @@ _ROWS_78 = (
         row=7,
         expected=(20, 27, 33, 34, 41),
         build=lambda s: {8: R1, 13: R1, 18: s["a18"], 19: s["a19"], 26: s["a26"]},
-        honors=lambda s: [("a18 != -1/2", s["a18"] != rat(-1, 2))],
+        honors=lambda s: [_A18(s, False)],
     ),
     dict(
         row=8,
         expected=(20, 27, 34, 41),
         build=lambda s: {8: R1, 13: R1, 18: s["a18"], 19: s["a19"], 26: s["a26"]},
-        honors=lambda s: [("a18 = -1/2", s["a18"] == rat(-1, 2))],
+        honors=lambda s: [_A18(s, True)],
     ),
     dict(
         row=9,
         expected=(25, 33, 34, 41),
         build=lambda s: {8: R1, 18: R1, 19: s["a19"], 20: s["a20"], 27: s["a27"]},
-        honors=lambda s: [
-            ("a20 != (121/120) a19^2", s["a20"] != rat(121, 120) * s["a19"] ** 2),
-        ],
+        honors=lambda s: [_A20_T18(s, False)],
     ),
     dict(
         row=10,
         expected=(25, 33, 41),
         build=lambda s: {8: R1, 18: R1, 19: s["a19"], 20: s["a20"], 27: s["a27"]},
-        honors=lambda s: [
-            ("a20 = (121/120) a19^2", s["a20"] == rat(121, 120) * s["a19"] ** 2),
-        ],
+        honors=lambda s: [_A20_T18(s, True)],
     ),
     dict(
         row=11,
@@ -245,72 +242,17 @@ _ROWS_78 = (
 )
 
 
-def build_table_row(table: str, row: int, samples: dict) -> PuiseuxParam:
-    """Instantiate a table row's parametrization at given sample values."""
-    if table == "7.1":
-        specs, v0 = _ROWS_69, 6
-    elif table == "7.2":
-        specs, v0 = _ROWS_78, 7
-    else:
-        raise ValueError(f"unknown table {table!r} (expected '7.1' or '7.2')")
-    spec = next((r for r in specs if r["row"] == row), None)
-    if spec is None:
-        raise ValueError(f"table {table} has no row {row}")
-    s = {k: rat(v) for k, v in samples.items()}
-    try:
-        return PuiseuxParam(v0, spec["build"](s))
-    except KeyError as exc:
-        raise ValueError(
-            f"table {table} row {row} needs sample coefficient {exc.args[0]!r}"
-        ) from None
-
-
-def _run_78(data: dict) -> dict:
-    rows = []
-    for spec in _ROWS_78:
-        entry = next(e for e in data["7.2"]["rows"] if e["row"] == spec["row"])
-        report = {"row": spec["row"], "samples": dict(entry["samples"])}
-        try:
-            s = {k: rat(v) for k, v in entry["samples"].items()}
-            conditions = [
-                {"condition": desc, "holds": bool(ok)}
-                for desc, ok in spec["honors"](s)
-            ]
-            phi = PuiseuxParam(7, spec["build"](s))
-            computed = differential_gaps(phi)
-            report.update(
-                branch=phi.to_dict(),
-                conditions=conditions,
-                computed=computed,
-                expected=list(spec["expected"]),
-            )
-            report["pass"] = (
-                all(c["holds"] for c in conditions)
-                and computed == list(spec["expected"])
-            )
-        except Exception as exc:  # surfaced in the report, row fails
-            report["error"] = f"{type(exc).__name__}: {exc}"
-            report["pass"] = False
-        rows.append(report)
-    passed = sum(1 for r in rows if r["pass"])
-    return {
-        "example": "7.2",
-        "rows": rows,
-        "passed": passed,
-        "total": len(rows),
-        "ok": passed == len(rows),
-    }
-
-
 # -- the <6, 9, 19> table --------------------------------------------------
 
 
-def _stratum_gate(b1, b2):
-    """The closed condition separating the last two strata."""
-    return 14 + rat(769, 2) * b1 - 532 * b2 - 576 * b1 * b1
-
-
-_GATE_TEXT = "14 + (769/2) b1 - 532 b2 - 576 b1^2"
+# b on its special value, and the closed condition separating the last
+# two strata
+_B = _relation("b", "-1/2", lambda s: s["b"] + rat(1, 2))
+_GATE = _relation(
+    "14 + (769/2) b1 - 532 b2 - 576 b1^2",
+    "0",
+    lambda s: 14 + rat(769, 2) * s["b1"] - 532 * s["b2"] - 576 * s["b1"] * s["b1"],
+)
 
 _ROWS_69 = (
     dict(
@@ -331,67 +273,120 @@ _ROWS_69 = (
         row=3,
         build=lambda s: {9: R1, 10: R1, 11: s["b"], 14: s["b1"], 17: s["b2"],
                          20: s["b3"]},
-        honors=lambda s: [
-            ("b = -1/2", s["b"] == rat(-1, 2)),
-            (f"{_GATE_TEXT} != 0", _stratum_gate(s["b1"], s["b2"]) != 0),
-        ],
+        honors=lambda s: [_B(s, True), _GATE(s, False)],
     ),
     dict(
         row=4,
         build=lambda s: {9: R1, 10: R1, 11: s["b"], 14: s["b1"], 17: s["b2"],
                          20: s["b3"], 26: s["b4"]},
-        honors=lambda s: [
-            ("b = -1/2", s["b"] == rat(-1, 2)),
-            (f"{_GATE_TEXT} = 0", _stratum_gate(s["b1"], s["b2"]) == 0),
-        ],
+        honors=lambda s: [_B(s, True), _GATE(s, True)],
     ),
 )
 
+# table id -> (multiplicity, rows)
+_TABLES = {"7.1": (6, _ROWS_69), "7.2": (7, _ROWS_78)}
 
-def _run_69(data: dict) -> dict:
-    rng = random.Random(int(data["seed"]))
+
+def build_table_row(table: str, row: int, samples: dict) -> PuiseuxParam:
+    """Instantiate a table row's parametrization at given sample values."""
+    if table not in _TABLES:
+        raise ValueError(f"unknown table {table!r} (expected one of {', '.join(_TABLES)})")
+    v0, specs = _TABLES[table]
+    spec = next((r for r in specs if r["row"] == row), None)
+    if spec is None:
+        raise ValueError(f"table {table} has no row {row}")
+    s = {k: rat(v) for k, v in samples.items()}
+    try:
+        return PuiseuxParam(v0, spec["build"](s))
+    except KeyError as exc:
+        raise ValueError(
+            f"table {table} row {row} needs sample coefficient {exc.args[0]!r}"
+        ) from None
+
+
+# -- running a suite -------------------------------------------------------
+
+
+def _suite_entry(data, example: str) -> dict:
+    """The samples file's entry for one suite; ValueError if it has none."""
+    entry = data.get(example) if isinstance(data, dict) else None
+    if not isinstance(entry, dict):
+        raise ValueError(f"samples file has no suite {example!r}")
+    return entry
+
+
+def _samples_of(entry, where: str) -> dict:
+    samples = entry.get("samples") if isinstance(entry, dict) else None
+    if not isinstance(samples, dict):
+        raise ValueError(f"samples file has no samples for {where}")
+    return samples
+
+
+def _report(example: str, rows: list, **extra) -> dict:
+    passed = sum(1 for r in rows if r["pass"])
+    return {"example": example, **extra, "rows": rows, "passed": passed,
+            "total": len(rows), "ok": passed == len(rows)}
+
+
+def _run_table(table: str, data, check, **extra) -> dict:
+    """Build every row of a table at its samples and score it.
+
+    ``check(spec, phi)`` returns the row's report fields and whether the
+    row's own check passed; the row passes when that check and every
+    condition hold.  A failure inside a row is reported as that row's
+    error.  A samples file without an entry for some row raises ValueError
+    before any row runs.
+    """
+    entries = _suite_entry(data, table).get("rows")
+    entries = [e for e in entries if isinstance(e, dict)] if isinstance(entries, list) else []
+    specs = _TABLES[table][1]
+    samples = [
+        _samples_of(next((e for e in entries if e.get("row") == spec["row"]), None),
+                    f"{table} row {spec['row']}")
+        for spec in specs
+    ]
     rows = []
-    for spec in _ROWS_69:
-        entry = next(e for e in data["7.1"]["rows"] if e["row"] == spec["row"])
-        report = {"row": spec["row"], "samples": dict(entry["samples"])}
+    for spec, row_samples in zip(specs, samples):
+        report = {"row": spec["row"], "samples": dict(row_samples)}
         try:
-            s = {k: rat(v) for k, v in entry["samples"].items()}
-            conditions = [
-                {"condition": desc, "holds": bool(ok)}
-                for desc, ok in spec["honors"](s)
-            ]
-            phi = PuiseuxParam(6, spec["build"](s))
-            nf = to_normal_form(phi)
-            fixed = (not nf.change_log) and nf.normal == phi
-            ch = random_coordinate_change(rng, 6, 9)
-            image = apply_coordinate_change(phi, ch)
-            rf = to_normal_form(image)
-            report.update(
-                branch=phi.to_dict(),
-                conditions=conditions,
-                fixed_point=fixed,
-                perturbation=ch.to_dict(),
-                computed=rf.normal.support(),
-                expected=phi.support(),
-            )
-            report["pass"] = (
-                all(c["holds"] for c in conditions)
-                and fixed
-                and rf.normal.support() == phi.support()
-            )
-        except Exception as exc:
+            s = {k: rat(v) for k, v in row_samples.items()}
+            phi = build_table_row(table, spec["row"], s)
+            conditions = [{"condition": desc, "holds": ok} for desc, ok in spec["honors"](s)]
+            fields, ok = check(spec, phi)
+            report.update(branch=phi.to_dict(), conditions=conditions, **fields)
+            report["pass"] = all(c["holds"] for c in conditions) and ok
+        except Exception as exc:  # surfaced in the report, row fails
             report["error"] = f"{type(exc).__name__}: {exc}"
             report["pass"] = False
         rows.append(report)
-    passed = sum(1 for r in rows if r["pass"])
-    return {
-        "example": "7.1",
-        "seed": int(data["seed"]),
-        "rows": rows,
-        "passed": passed,
-        "total": len(rows),
-        "ok": passed == len(rows),
-    }
+    return _report(table, rows, **extra)
+
+
+def _check_78(spec, phi):
+    """The row's differential values outside the semigroup, as tabled."""
+    computed = differential_gaps(phi)
+    expected = list(spec["expected"])
+    return {"computed": computed, "expected": expected}, computed == expected
+
+
+def _run_69(data) -> dict:
+    try:
+        seed = int(data["seed"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("samples file has no integer 'seed'") from None
+    rng = random.Random(seed)
+
+    def check(spec, phi):
+        """A fixed point whose perturbed copy reduces to the same support."""
+        nf = to_normal_form(phi)
+        fixed = (not nf.change_log) and nf.normal == phi
+        ch = random_coordinate_change(rng, 6, 9)
+        computed = to_normal_form(apply_coordinate_change(phi, ch)).normal.support()
+        fields = dict(fixed_point=fixed, perturbation=ch.to_dict(),
+                      computed=computed, expected=phi.support())
+        return fields, fixed and computed == phi.support()
+
+    return _run_table("7.1", data, check, seed=seed)
 
 
 # -- equivalent but not homothetic ----------------------------------------
@@ -489,9 +484,9 @@ def _counterexample_relations(a13, a20, b1, b5, coeffs):
     ]
 
 
-def _run_counterexample(data: dict) -> dict:
-    entry = data["zariski-counterexample"]
-    samples = dict(entry["samples"])
+def _run_counterexample(data) -> dict:
+    example = "zariski-counterexample"
+    samples = dict(_samples_of(_suite_entry(data, example), example))
     rows = []
     try:
         a13 = rat(samples["a13"])
@@ -579,27 +574,21 @@ def _run_counterexample(data: dict) -> dict:
             "error": f"{type(exc).__name__}: {exc}",
             "pass": False,
         })
-    passed = sum(1 for r in rows if r["pass"])
-    return {
-        "example": "zariski-counterexample",
-        "samples": samples,
-        "rows": rows,
-        "passed": passed,
-        "total": len(rows),
-        "ok": passed == len(rows),
-    }
+    return _report(example, rows, samples=samples)
+
+
+_SUITES = {
+    "7.1": _run_69,
+    "7.2": lambda data: _run_table("7.2", data, _check_78),
+    "zariski-counterexample": _run_counterexample,
+}
+EXAMPLE_IDS = tuple(_SUITES)
 
 
 def run_reproduction(example_id: str, samples: dict | None = None) -> dict:
     """Run one bundled suite and return its row-by-row report."""
-    if samples is None:
-        samples = load_samples()
-    if example_id == "7.2":
-        return _run_78(samples)
-    if example_id == "7.1":
-        return _run_69(samples)
-    if example_id == "zariski-counterexample":
-        return _run_counterexample(samples)
-    raise ValueError(
-        f"unknown reproduction id {example_id!r}; expected one of {', '.join(EXAMPLE_IDS)}"
-    )
+    if example_id not in _SUITES:
+        raise ValueError(
+            f"unknown reproduction id {example_id!r}; expected one of {', '.join(EXAMPLE_IDS)}"
+        )
+    return _SUITES[example_id](load_samples() if samples is None else samples)

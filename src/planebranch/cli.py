@@ -80,19 +80,14 @@ def _load_branch(path: str, extra: int) -> PuiseuxParam:
 
 
 def cmd_semigroup(args) -> int:
-    if args.generators is not None:
-        gens = _parse_ints(args.generators, "--generators")
-        try:
-            beta = char_exponents_from_generators(gens)
-        except ValueError as exc:
-            return _fail(str(exc))
+    try:
+        if args.generators is not None:
+            beta = char_exponents_from_generators(_parse_ints(args.generators, "--generators"))
+        else:
+            beta = _parse_ints(args.beta, "--beta")
         cd = char_data_from_exponents(beta)
-    else:
-        beta = _parse_ints(args.beta, "--beta")
-        try:
-            cd = char_data_from_exponents(beta)
-        except ValueError as exc:
-            return _fail(str(exc))
+    except ValueError as exc:
+        return _fail(str(exc))
     sg = cd.semigroup
     _emit(
         {

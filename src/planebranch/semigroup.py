@@ -171,15 +171,11 @@ def char_exponents_from_generators(gens):
     The inverse of ``char_data_from_exponents(beta).generators``.
 
     Raises ValueError unless gens are the minimal generators of the
-    semigroup of a plane branch, or (1,), that of a smooth one.
+    semigroup of a singular plane branch.
     """
     v = tuple(int(g) for g in gens)
     bad = "not a plane branch semigroup: "
-    if len(v) < 2:
-        if v == (1,):
-            return v
-        raise ValueError(bad + "a single generator must be 1")
-    if v[0] < 2:
+    if not v or v[0] < 2:
         raise ValueError(bad + "multiplicity must be >= 2")
     if any(b <= a for a, b in zip(v, v[1:])):
         raise ValueError(bad + "generators must increase strictly")

@@ -9,12 +9,14 @@ public name cannot silently break the traced run or a workload.
 import ast
 import functools
 import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import planebranch
+from planebranch import catalog, cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -89,3 +91,20 @@ def test_traced_modules_loaded_by_plain_import():
         f"missing = [m for m in {modules!r} if m not in sys.modules]\n"
         "assert not missing, missing\n"
     )
+
+
+def test_reproduce_passes_the_suite_id_first(monkeypatch, capsys):
+    # bench/tracing.py keys catalog.suite_<id>_s on run_reproduction's args[0]
+    assert list(inspect.signature(catalog.run_reproduction).parameters) == [
+        "example_id", "samples"]
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(args)
+        return {"ok": True}
+
+    monkeypatch.setattr(cli, "run_reproduction", record)
+    for example in planebranch.EXAMPLE_IDS:
+        assert cli.main(["reproduce", example]) == 0
+    capsys.readouterr()
+    assert [args[0] for args in seen] == list(planebranch.EXAMPLE_IDS)

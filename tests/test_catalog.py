@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from planebranch import catalog
 from planebranch import (
     EXAMPLE_IDS,
     BranchInputError,
@@ -106,3 +107,23 @@ def test_run_reproduction_row_reports():
     for row in report["rows"]:
         assert row["pass"] is True
         assert row["computed"] == row["expected"]
+
+
+def test_row_fails_on_its_table_check(monkeypatch):
+    # every 7.2 row's gaps read as empty, so only the monomial row matches
+    monkeypatch.setattr(catalog, "differential_gaps", lambda phi: [])
+    report = run_reproduction("7.2")
+    assert [row["row"] for row in report["rows"] if row["pass"]] == [16]
+    assert not any("error" in row for row in report["rows"])
+    assert report["passed"] == 1 and report["ok"] is False
+
+
+def test_row_fails_when_its_image_leaves_the_stratum(monkeypatch):
+    # every perturbed 7.1 image is replaced by one branch outside all strata
+    outside = PuiseuxParam(6, {9: rat(1), 10: rat(1)})
+    monkeypatch.setattr(catalog, "apply_coordinate_change", lambda phi, ch: outside)
+    report = run_reproduction("7.1")
+    for row in report["rows"]:
+        assert row["pass"] is False and "error" not in row
+        assert row["fixed_point"] is True
+        assert row["computed"] != row["expected"]

@@ -57,6 +57,14 @@ def test_semigroup_rejects_non_branch(capsys):
     assert "error" in json.loads(err)
 
 
+def test_semigroup_rejects_smooth_generator(capsys):
+    # <1> belongs to a smooth branch, and every command needs v0 >= 2
+    code, out, err = run_cli(capsys, "semigroup", "--generators", "1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "not a plane branch semigroup: multiplicity must be >= 2"}
+
+
 def test_semigroup_rejects_garbage(capsys):
     code, out, err = run_cli(capsys, "semigroup", "--generators", "7,eight")
     assert code == 2
@@ -234,6 +242,61 @@ def test_reproduce_seed_file_malformed_json(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "JSONDecodeError" in json.loads(err)["error"]
+
+
+def write_samples(tmp_path, data):
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "example, edit, message",
+    [
+        ("7.2", lambda data: data["7.2"]["rows"].pop(), "has no samples for 7.2 row 16"),
+        ("7.1", lambda data: data.pop("seed"), "has no integer 'seed'"),
+        ("7.2", lambda data: data.pop("7.2"), "has no suite '7.2'"),
+    ],
+    ids=["row", "seed", "suite"],
+)
+def test_reproduce_seed_file_missing_entry(capsys, tmp_path, example, edit, message):
+    data = planebranch.load_samples()
+    edit(data)
+    path = write_samples(tmp_path, data)
+    code, out, err = run_cli(capsys, "reproduce", example, "--seed-file", path)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError: samples file " + message
+
+
+@pytest.mark.parametrize("example", planebranch.EXAMPLE_IDS)
+def test_reproduce_seed_file_not_an_object(capsys, tmp_path, example):
+    path = write_samples(tmp_path, [planebranch.load_samples()])
+    code, out, err = run_cli(capsys, "reproduce", example, "--seed-file", path)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"].startswith("ValueError: samples file has no ")
+
+
+@pytest.mark.parametrize("example, row, coefficient", [("7.2", 3, "a13"), ("7.1", 2, "b3")])
+def test_reproduce_row_missing_a_coefficient_fails_alone(
+    capsys, tmp_path, example, row, coefficient
+):
+    data = planebranch.load_samples()
+    entry = next(e for e in data[example]["rows"] if e["row"] == row)
+    del entry["samples"][coefficient]
+    path = write_samples(tmp_path, data)
+    code, out, err = run_cli(capsys, "reproduce", example, "--seed-file", path)
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    failed = [r for r in report["rows"] if not r["pass"]]
+    assert [r["row"] for r in failed] == [row]
+    assert failed[0]["error"] == (
+        f"ValueError: table {example} row {row} needs sample coefficient {coefficient!r}"
+    )
+    assert report["passed"] == report["total"] - 1
+    assert report["ok"] is False
 
 
 def test_reproduce_rejects_trunc_extra(capsys):

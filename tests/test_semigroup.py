@@ -160,14 +160,16 @@ class TestPlaneBranchValidation:
             ((4, 5, 6), "gcd chain must drop strictly"),  # chain hits 1 early
             ((1, 2), "multiplicity must be >= 2"),
             ((7, 7), "generators must increase strictly"),
-            ((), "a single generator must be 1"),
+            ((), "multiplicity must be >= 2"),
         ]:
             with pytest.raises(ValueError, match="not a plane branch semigroup: " + reason):
                 char_exponents_from_generators(v)
 
     def test_single_generator(self):
-        assert char_exponents_from_generators((1,)) == (1,)
-        with pytest.raises(ValueError, match="a single generator must be 1"):
+        # <1> is the smooth branch's semigroup, and <3> has gcd 3
+        with pytest.raises(ValueError, match="multiplicity must be >= 2"):
+            char_exponents_from_generators((1,))
+        with pytest.raises(ValueError, match="gcd of all generators must be 1"):
             char_exponents_from_generators((3,))
 
 
