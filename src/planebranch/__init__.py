@@ -30,11 +30,7 @@ from .normalform import (
     homothety_solve,
     to_normal_form,
 )
-from .semigroup import (
-    CharData,
-    NumericalSemigroup,
-    char_exponents_from_generators,
-)
+from .semigroup import CharData, char_exponents_from_generators
 from .series import (
     AboveTruncation,
     BiPoly,
@@ -69,7 +65,6 @@ __all__ = [
     "InternalError",
     "MONOMIAL_CLASS",
     "NormalFormResult",
-    "NumericalSemigroup",
     "PuiseuxParam",
     "TSeries",
     "ValueSet",

@@ -6,8 +6,9 @@ parametrization is primitive.  The constructor derives the characteristic
 exponents beta from the full support, takes ``char`` and ``semigroup``
 from the class ``char_data_from_exponents(beta)``, which coordinate
 changes share, fixes the working truncation N = conductor + 2 v0 + 1
-(+ optional head-room), and only then discards exponents >= N — they
-can influence no membership decision below N and no normal-form coefficient.
+(+ optional head-room of at most that much again), and only then
+discards exponents >= N — they can influence no membership decision
+below N and no normal-form coefficient.
 
 y is held as its canonical TSeries cut at N, in the slot ``y``: integer
 numerators over one positive denominator, in lowest terms.  Structural
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 
 from .semigroup import char_data_from_exponents
-from .series import R0, R1, TSeries, _numerators, rat
+from .series import R0, R1, TSeries, _numerators, _read_rat, rat
 
 
 class BranchInputError(ValueError):
@@ -61,8 +62,6 @@ class PuiseuxParam:
     def __init__(self, v0: int, terms, extra: int = 0, label=None):
         if not isinstance(v0, int) or v0 < 2:
             raise BranchInputError("v0 must be an integer >= 2")
-        if extra < 0:
-            raise BranchInputError("truncation head-room must be >= 0")
         if isinstance(terms, TSeries):
             den, nums = terms.den, terms.nums
         else:
@@ -107,10 +106,16 @@ class PuiseuxParam:
                 g = math.gcd(g, s)
         self.char = char_data_from_exponents(beta)
         self.semigroup = self.char.semigroup
+        base = self.semigroup.conductor + 2 * v0 + 1
+        if not 0 <= extra <= base:
+            raise BranchInputError(
+                f"truncation head-room {extra} must be between 0 and "
+                f"conductor + 2 v0 + 1 = {base}"
+            )
         self.v0 = v0
         self.v1 = v1
         self.extra = extra
-        N = self.trunc = self.semigroup.conductor + 2 * v0 + 1 + extra
+        N = self.trunc = base + extra
         if isinstance(terms, TSeries) and terms.trunc == N and self.lead_rescale is None:
             self.y = terms
         else:
@@ -189,9 +194,9 @@ class PuiseuxParam:
             if not isinstance(e, int):
                 raise BranchInputError(f"exponent {e!r} must be an integer")
             try:
-                cv = rat(c) if isinstance(c, str) else rat(int(c))
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
-                raise BranchInputError(f"bad coefficient {c!r}: {exc}") from None
+                cv = _read_rat(c, f"coefficient of t^{e}")
+            except ValueError as exc:
+                raise BranchInputError(str(exc)) from None
             terms[e] = terms.get(e, R0) + cv
         label = data.get("label")
         try:

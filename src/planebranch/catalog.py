@@ -32,10 +32,11 @@ which inequality or pin each row exercises.  Reports are plain dicts of
 JSON-compatible values, deterministic for a fixed samples file.
 
 Both tables run through one runner, ``_run_table``: it looks up each
-row's samples, builds the row with ``build_table_row``, checks its
-conditions and turns a failure inside the row into that row's error.
+row's samples, reads each once as an integer or a rational string,
+builds the row with ``build_table_row``, checks its conditions and turns
+a failure inside the row, such as a float sample, into that row's error.
 Each table adds only its own check.  A samples file that lacks a suite,
-a row or the seed raises ValueError before any row runs.
+a row or an integer seed raises ValueError before any row runs.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .normalform import (
     homothety_solve,
     to_normal_form,
 )
-from .series import BiPoly, R1, rat
+from .series import BiPoly, R1, _read_rat, rat
 from .valuation import differential_gaps
 
 
@@ -288,16 +289,19 @@ _TABLES = {"7.1": (6, _ROWS_69), "7.2": (7, _ROWS_78)}
 
 
 def build_table_row(table: str, row: int, samples: dict) -> PuiseuxParam:
-    """Instantiate a table row's parametrization at given sample values."""
+    """Instantiate a table row's parametrization at given sample values.
+
+    The values are taken as PuiseuxParam takes a coefficient; ``_run_table``
+    passes the rationals it has read from a samples file.
+    """
     if table not in _TABLES:
         raise ValueError(f"unknown table {table!r} (expected one of {', '.join(_TABLES)})")
     v0, specs = _TABLES[table]
     spec = next((r for r in specs if r["row"] == row), None)
     if spec is None:
         raise ValueError(f"table {table} has no row {row}")
-    s = {k: rat(v) for k, v in samples.items()}
     try:
-        return PuiseuxParam(v0, spec["build"](s))
+        return PuiseuxParam(v0, spec["build"](samples))
     except KeyError as exc:
         raise ValueError(
             f"table {table} row {row} needs sample coefficient {exc.args[0]!r}"
@@ -334,8 +338,9 @@ def _run_table(table: str, data, check, **extra) -> dict:
     ``check(spec, phi)`` returns the row's report fields and whether the
     row's own check passed; the row passes when that check and every
     condition hold.  A failure inside a row is reported as that row's
-    error.  A samples file without an entry for some row raises ValueError
-    before any row runs.
+    error, a sample that is neither an integer nor a rational string
+    included.  A samples file without an entry for some row raises
+    ValueError before any row runs.
     """
     entries = _suite_entry(data, table).get("rows")
     entries = [e for e in entries if isinstance(e, dict)] if isinstance(entries, list) else []
@@ -349,7 +354,8 @@ def _run_table(table: str, data, check, **extra) -> dict:
     for spec, row_samples in zip(specs, samples):
         report = {"row": spec["row"], "samples": dict(row_samples)}
         try:
-            s = {k: rat(v) for k, v in row_samples.items()}
+            where = f"table {table} row {spec['row']} sample coefficient"
+            s = {k: _read_rat(v, f"{where} {k!r}") for k, v in row_samples.items()}
             phi = build_table_row(table, spec["row"], s)
             conditions = [{"condition": desc, "holds": ok} for desc, ok in spec["honors"](s)]
             fields, ok = check(spec, phi)
@@ -370,10 +376,9 @@ def _check_78(spec, phi):
 
 
 def _run_69(data) -> dict:
-    try:
-        seed = int(data["seed"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("samples file has no integer 'seed'") from None
+    seed = data.get("seed") if isinstance(data, dict) else None
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError("samples file has no integer 'seed'")
     rng = random.Random(seed)
 
     def check(spec, phi):
@@ -489,10 +494,8 @@ def _run_counterexample(data) -> dict:
     samples = dict(_samples_of(_suite_entry(data, example), example))
     rows = []
     try:
-        a13 = rat(samples["a13"])
-        a20 = rat(samples["a20"])
-        b1 = rat(samples["b1"])
-        b5 = rat(samples["b5"])
+        a13, a20, b1, b5 = (_read_rat(samples[k], f"{example} sample coefficient {k!r}")
+                            for k in ("a13", "a20", "b1", "b5"))
         preconditions = [
             {"condition": "a13 != 21/4", "holds": a13 != rat(21, 4)},
             {"condition": "b1 != 0", "holds": b1 != 0},

@@ -109,18 +109,14 @@ def cmd_lambda(args) -> int:
     kind, key = _SET_KEYS[args.set]
     vs = lambda_set(phi, kind)
     sg = phi.semigroup
+    # finite_part lists the keys of the witness map, so each has a witness
     outside = [w for w in vs.finite_part if not sg.contains(w)]
-    witnesses = {}
-    for w in outside:
-        form = vs.witness(w)
-        if form is not None:
-            witnesses[str(w)] = form.to_dict()
     _emit(
         {
             "gamma": {"generators": list(sg.generators), "conductor": sg.conductor},
             key: outside,
             "zariski_lambda": zariski_invariant(phi),
-            "witnesses": witnesses,
+            "witnesses": {str(w): vs.witness(w).to_dict() for w in outside},
         },
         args.pretty,
     )
@@ -170,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="extra working-precision head-room on top of conductor + 2 v0 + 1",
+        help="extra working-precision head-room on top of conductor + 2 v0 + 1,"
+        " at most that much again",
     )
 
     parser = argparse.ArgumentParser(

@@ -60,6 +60,7 @@ from .series import (
     R1,
     TSeries,
     _clear_lead,
+    _read_rat,
     bipoly_pullback,
     rat,
     series_root_unit,
@@ -90,7 +91,7 @@ class CoordChange:
     @classmethod
     def from_dict(cls, data) -> "CoordChange":
         return cls(
-            r=rat(data["r"]),
+            r=_read_rat(data["r"], "r"),
             p=BiPoly.from_pairs(data.get("p", [])),
             q=BiPoly.from_pairs(data.get("q", [])),
         )

@@ -12,7 +12,8 @@ and each generator must satisfy v_{i+1} > n_i v_i.
 
 ``char_data_from_exponents`` owns the class: one validated, frozen
 ``CharData`` per beta, holding the generators and the semigroup, which
-the branches of one reduction share.
+the branches of one reduction share.  The semigroup is built there and
+nowhere else, so the package does not export ``NumericalSemigroup``.
 """
 
 from __future__ import annotations
@@ -41,42 +42,39 @@ class CharData:
 
 
 class NumericalSemigroup:
-    """A subsemigroup of the naturals with finite complement.
+    """The semigroup <v_0, ..., v_g> of one class, built only by ``_char_data``.
 
-    Stores the minimal generating set, the conductor (first element from
-    which everything is a member), a membership table over
-    [0, conductor + 2 * multiplicity], and the gap list.
+    Its generators come from a validated beta, whose gcd chain
+    e_i = gcd(e_{i-1}, v_i) drops strictly at each v_i: v_i is not a
+    multiple of e_{i-1}, while every sum of v_0, ..., v_{i-1} is.  So the
+    v_i are distinct, coprime (e_g = 1) and minimal, and nothing here checks
+    or reduces them; for an arbitrary generator set it would answer wrongly.
+    The conductor is the plane-branch closed form
+    c = sum((n_i - 1) v_i) - v_0 + 1; one sieve fills the membership table
+    below it, and every value from c on is a member.
     """
 
     __slots__ = ("generators", "conductor", "gaps", "_table")
 
     def __init__(self, generators):
-        gens = sorted(set(int(g) for g in generators))
-        if not gens or gens[0] < 1:
-            raise ValueError("generators must be positive integers")
-        if math.gcd(*gens) != 1:
-            raise ValueError("generators must have gcd 1")
-        table, conductor = _sieve(gens)
-        minimal = tuple(
-            g for g in gens if not _reachable_without(gens, g, conductor)
-        )
-        self.generators = minimal
-        self.conductor = conductor
-        bound = conductor + 2 * minimal[0]
-        if len(table) <= bound:
-            table = _sieve(gens, bound)[0]
-        self._table = table[: bound + 1]
-        self.gaps = tuple(v for v in range(1, conductor) if not table[v])
+        e = generators[0]
+        c = 1 - e
+        for v in generators[1:]:
+            e, e_prev = math.gcd(e, v), e
+            c += (e_prev // e - 1) * v
+        table = [False] * c
+        table[0] = True
+        for g in generators:
+            for w in range(g, c):
+                if table[w - g]:
+                    table[w] = True
+        self.generators = generators
+        self.conductor = c
+        self.gaps = tuple(w for w in range(1, c) if not table[w])
+        self._table = table
 
     def contains(self, v: int) -> bool:
-        if v < 0:
-            return False
-        if v < len(self._table):
-            return self._table[v]
-        return True  # beyond the conductor everything is a member
-
-    def __contains__(self, v) -> bool:
-        return self.contains(v)
+        return v >= self.conductor or (v >= 0 and self._table[v])
 
     def __eq__(self, other):
         if not isinstance(other, NumericalSemigroup):
@@ -88,43 +86,7 @@ class NumericalSemigroup:
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
-        return f"NumericalSemigroup(<{gens}>, conductor={self.conductor})"
-
-
-def _sieve(gens, bound=None):
-    """Reachability table for sums of generators and the conductor."""
-    if bound is None:
-        # Frobenius number is below multiplicity * max generator when gcd = 1.
-        bound = gens[0] * gens[-1] + gens[-1]
-    table = [False] * (bound + 1)
-    table[0] = True
-    for v in range(1, bound + 1):
-        for g in gens:
-            if g <= v and table[v - g]:
-                table[v] = True
-                break
-    last_gap = -1
-    for v in range(bound, 0, -1):
-        if not table[v]:
-            last_gap = v
-            break
-    return table, last_gap + 1
-
-
-def _reachable_without(gens, g, conductor):
-    others = [x for x in gens if x != g]
-    if not others:
-        return False
-    reach = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for x in others:
-            w = v + x
-            if w <= g and w not in reach:
-                reach.add(w)
-                frontier.append(w)
-    return g in reach
+        return f"{type(self).__name__}(<{gens}>, conductor={self.conductor})"
 
 
 def two_generator_rep(w: int, v0: int, v1: int):
@@ -160,8 +122,9 @@ def _char_data(beta: tuple) -> CharData:
     v = list(beta[:2])
     for i in range(1, len(beta) - 1):
         v.append(n[i] * v[i] + beta[i + 1] - beta[i])
+    v = tuple(v)
     return CharData(beta=beta, e=tuple(e), n=tuple(n), puiseux_pairs=pairs,
-                    genus=len(beta) - 1, generators=tuple(v),
+                    genus=len(beta) - 1, generators=v,
                     semigroup=NumericalSemigroup(v))
 
 

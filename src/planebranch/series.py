@@ -43,6 +43,17 @@ R0 = rat(0)
 R1 = rat(1)
 
 
+def _read_rat(value, field: str):
+    """A JSON coefficient: an int that is not a bool, or a string ``rat``
+    parses; anything else, a float included, is a ValueError naming field."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return rat(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{field} must be an integer or a rational string, not {value!r}")
+
+
 class AboveTruncation:
     """Order bound for a series with no visible terms: true order >= trunc.
 
@@ -358,7 +369,7 @@ class BiPoly:
         """Build from [[degX, degY, "coeff"], ...] (the on-disk format)."""
         out = {}
         for a, b, c in pairs:
-            c = rat(c)
+            c = _read_rat(c, f"coefficient of X^{a} Y^{b}")
             if c != 0:
                 out[(int(a), int(b))] = out.get((int(a), int(b)), R0) + c
         return cls({k: v for k, v in out.items() if v != 0}, _clean=True)

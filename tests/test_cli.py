@@ -386,6 +386,47 @@ def test_internal_error_in_a_reduction_is_replayable(capsys, tmp_path, monkeypat
     assert cur == phi
 
 
+def test_trunc_extra_above_the_bound_exits_2_before_any_elimination(
+    capsys, tmp_path, monkeypatch
+):
+    def no_reduction(phi):
+        raise AssertionError("a rejected head-room must not reach a reduction")
+
+    monkeypatch.setattr(planebranch.cli, "to_normal_form", no_reduction)
+    path = write_branch(tmp_path, "b.json", 3, [[4, "1"], [5, "1"]])
+    for extra in ("14", "1000"):
+        code, out, err = run_cli(capsys, "normalform", path, "--trunc-extra", extra)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": (
+            f"truncation head-room {extra} must be between 0 and "
+            "conductor + 2 v0 + 1 = 13"
+        )}
+
+
+def test_trunc_extra_at_the_bound_is_accepted(capsys, tmp_path):
+    path = write_branch(tmp_path, "b.json", 3, [[4, "1"], [5, "1"]])
+    code, out, _ = run_cli(capsys, "normalform", path, "--trunc-extra", "13")
+    assert code == 0
+    assert json.loads(out)["normal"]["terms"] == [[4, "1"]]  # <3, 4> has no moduli
+
+
+@pytest.mark.parametrize("coefficient", [0.5, 1.0, True, None])
+def test_branch_coefficient_must_be_an_integer_or_a_string(capsys, tmp_path, coefficient):
+    path = write_branch(tmp_path, "b.json", 3, [[4, coefficient], [5, 1]])
+    code, out, err = run_cli(capsys, "lambda", path)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": (
+        f"coefficient of t^4 must be an integer or a rational string, not {coefficient!r}"
+    )}
+
+
+def test_branch_coefficient_as_json_integer(capsys, tmp_path):
+    path = write_branch(tmp_path, "b.json", 3, [[4, 1], [5, -2]])
+    code, out, _ = run_cli(capsys, "normalform", path)
+    assert code == 0
+    assert json.loads(out)["normal"]["v0"] == 3
+
+
 def test_trunc_extra_accepted(capsys, tmp_path):
     path = write_branch(tmp_path, "b.json", 7, [[8, "1"], [20, "1"]])
     code, out, _ = run_cli(capsys, "lambda", path, "--trunc-extra", "10")
@@ -415,3 +456,49 @@ def test_module_entry_points_run_clean(module):
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
     assert run.stdout.startswith("usage: planebranch")
+
+
+@pytest.mark.parametrize("value", [0.1, True, 1.0])
+def test_reproduce_sample_that_is_not_an_integer_or_a_string_fails_its_row(
+    capsys, tmp_path, value
+):
+    data = planebranch.load_samples()
+    data["7.2"]["rows"][0]["samples"]["a12"] = value
+    path = write_samples(tmp_path, data)
+    code, out, err = run_cli(capsys, "reproduce", "7.2", "--seed-file", path)
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    failed = [r for r in report["rows"] if not r["pass"]]
+    assert [r["row"] for r in failed] == [1]
+    assert failed[0]["error"] == (
+        "ValueError: table 7.2 row 1 sample coefficient 'a12' must be an integer "
+        f"or a rational string, not {value!r}"
+    )
+    assert report["passed"] == report["total"] - 1
+
+
+def test_reproduce_counterexample_sample_that_is_a_float_fails_setup(capsys, tmp_path):
+    data = planebranch.load_samples()
+    data["zariski-counterexample"]["samples"]["b1"] = 0.5
+    path = write_samples(tmp_path, data)
+    code, out, err = run_cli(capsys, "reproduce", "zariski-counterexample", "--seed-file", path)
+    assert code == 1
+    assert err == ""
+    rows = json.loads(out)["rows"]
+    assert [r["check"] for r in rows] == ["setup"]
+    assert rows[0]["error"] == (
+        "ValueError: zariski-counterexample sample coefficient 'b1' must be an "
+        "integer or a rational string, not 0.5"
+    )
+
+
+@pytest.mark.parametrize("seed", [271828.9, "271828", True])
+def test_reproduce_seed_must_be_a_json_integer(capsys, tmp_path, seed):
+    data = planebranch.load_samples()
+    data["seed"] = seed
+    path = write_samples(tmp_path, data)
+    code, out, err = run_cli(capsys, "reproduce", "7.1", "--seed-file", path)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError: samples file has no integer 'seed'"

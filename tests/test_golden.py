@@ -2,9 +2,10 @@
 
 The files under tests/golden/ hold the single-line canonical JSON that
 `planebranch reproduce <id>`, `planebranch normalform <branch>`,
-`planebranch lambda --set <kind> <branch>` and `planebranch equiv` printed
-before the code they exercise was sped up.  A speed-up or a
-simplification must not change a single byte of any report.
+`planebranch lambda --set <kind> <branch>`, `planebranch equiv` and
+`planebranch semigroup` printed before the code they exercise was sped
+up or simplified.  A speed-up or a simplification must not change a
+single byte of any report.
 
 The `normalform` branches take unsafe elimination recipes (and, for the
 first one, a cleanup round); their change logs carry the solved p and q,
@@ -41,6 +42,13 @@ LAMBDA_BRANCHES = {
 }
 
 LAMBDA_SETS = ["lambda", "lambda2", "lambda-prime"]
+
+SEMIGROUP_INPUTS = [
+    ("generators", "7,8"),
+    ("beta", "6,9,10"),
+    ("beta", "8,12,14,15"),
+    ("generators", "4,6,13"),
+]
 
 EQUIV_BRANCH = ("7-8-20", {
     "r": "2",
@@ -91,6 +99,16 @@ def test_equiv_image_matches_golden(capsys, tmp_path):
     a.write_text(json.dumps(phi.to_dict()), encoding="utf-8")
     b.write_text(json.dumps(image.to_dict()), encoding="utf-8")
     code = main(["equiv", str(a), str(b)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("form, values", SEMIGROUP_INPUTS)
+def test_semigroup_matches_golden(capsys, form, values):
+    name = f"semigroup_{form}_{values.replace(',', '-')}.json"
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
+    code = main(["semigroup", f"--{form}", values])
     out = capsys.readouterr().out
     assert code == 0
     assert out == expected

@@ -1,5 +1,6 @@
 """Coordinate changes, term elimination, normal forms, equivalence."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -160,6 +161,20 @@ class TestApplyChange:
         ch = CoordChange(r=rat("-5/3"), p=bp((2, 0, "1/7")), q=bp((0, 2, "3")))
         again = CoordChange.from_dict(ch.to_dict())
         assert again == ch
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"r": 0.5}, "r"),
+            ({"r": True}, "r"),
+            ({"r": "1", "p": [[2, 0, 0.5]]}, "coefficient of X^2 Y^0"),
+            ({"r": "1", "q": [[0, 2, False]]}, "coefficient of X^0 Y^2"),
+        ],
+    )
+    def test_change_from_dict_rejects_non_integer_numbers(self, data, field):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer or a")):
+            CoordChange.from_dict(data)
+        assert CoordChange.from_dict({"r": 2, "p": [[2, 0, -3]]}).p == bp((2, 0, "-3"))
 
 
 def series_apply_change(phi, ch):

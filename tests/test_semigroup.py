@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planebranch.semigroup import (
-    NumericalSemigroup,
     char_data_from_exponents,
     char_exponents_from_generators,
     two_generator_rep,
@@ -62,7 +61,7 @@ def char_exponents(draw):
 
 class TestSemigroupTable:
     def test_seven_eight(self):
-        s = NumericalSemigroup([7, 8])
+        s = char_data_from_exponents([7, 8]).semigroup
         assert s.conductor == 42
         members = brute_members([7, 8], 100)
         for v in range(0, 60):
@@ -71,33 +70,21 @@ class TestSemigroupTable:
         assert len(s.gaps) == 21  # symmetric: half of the conductor
 
     def test_six_nine_nineteen(self):
-        s = NumericalSemigroup([6, 9, 19])
+        s = char_data_from_exponents([6, 9, 10]).semigroup
+        assert s.generators == (6, 9, 19)
         assert s.conductor == 42
         members = brute_members([6, 9, 19], 100)
         for v in range(0, 60):
             assert s.contains(v) == ((v in members) or v >= 42)
 
-    def test_minimal_generators_are_extracted(self):
-        s = NumericalSemigroup([6, 9, 19, 25])  # 25 = 6 + 19
-        assert s.generators == (6, 9, 19)
-        assert NumericalSemigroup([8, 7, 7]).generators == (7, 8)
-
-    def test_whole_naturals(self):
-        s = NumericalSemigroup([1])
-        assert s.conductor == 0
-        assert s.gaps == ()
-
-    def test_rejects_common_divisor(self):
-        with pytest.raises(ValueError):
-            NumericalSemigroup([4, 6])
-
     def test_membership_table_covers_required_window(self):
-        s = NumericalSemigroup([7, 8])
+        s = char_data_from_exponents([7, 8]).semigroup
         for v in range(42, 42 + 2 * 7 + 1):
             assert s.contains(v)
+        assert not s.contains(-1)
 
     def test_gaps_above(self):
-        s = NumericalSemigroup([7, 8])
+        s = char_data_from_exponents([7, 8]).semigroup
         members = brute_members([7, 8], 42)
         expected = [v for v in range(11, 42) if v not in members]
         assert [g for g in s.gaps if g > 10] == expected
@@ -115,8 +102,7 @@ class TestCharacteristicExponents:
         v = char_data_from_exponents(beta).generators
         assert v == (8, 12, 26, 53)
         assert char_exponents_from_generators(v) == beta
-        s = NumericalSemigroup(v)
-        assert s.conductor == conductor_formula(v)
+        assert char_data_from_exponents(beta).semigroup.conductor == conductor_formula(v)
 
     def test_round_trip(self):
         for beta in [(7, 8), (6, 9, 10), (4, 6, 7), (4, 10, 11), (6, 8, 9), (12, 18, 21, 22)]:
@@ -125,8 +111,8 @@ class TestCharacteristicExponents:
 
     def test_conductor_closed_form(self):
         for beta in [(7, 8), (6, 9, 10), (4, 6, 7), (8, 12, 14, 15), (4, 10, 11)]:
-            v = char_data_from_exponents(beta).generators
-            assert NumericalSemigroup(v).conductor == conductor_formula(v)
+            cd = char_data_from_exponents(beta)
+            assert cd.semigroup.conductor == conductor_formula(cd.generators)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
@@ -139,10 +125,20 @@ class TestCharacteristicExponents:
     @settings(max_examples=200, deadline=None)
     @given(char_exponents())
     def test_round_trip_on_random_exponents(self, beta):
-        v = char_data_from_exponents(beta).generators
+        cd = char_data_from_exponents(beta)
+        v = cd.generators
         assert char_exponents_from_generators(v) == beta
-        # the generators of the class are the minimal ones of its semigroup
-        assert char_data_from_exponents(beta).semigroup.generators == v
+        # the generators of the class are minimal: none is a sum of smaller ones
+        for i in range(1, len(v)):
+            assert v[i] not in brute_members(v[:i], v[i])
+        # the table against a brute-force sieve: c - 1 is the last gap, and
+        # v0 members in a row from c on make every larger value a member
+        s, c = cd.semigroup, conductor_formula(v)
+        members = brute_members(v, c + v[0])
+        assert s.conductor == c
+        assert c - 1 not in members and all(w in members for w in range(c, c + v[0]))
+        assert s.gaps == tuple(w for w in range(1, c) if w not in members)
+        assert [w for w in range(-1, c + v[0] + 1) if s.contains(w)] == sorted(members)
 
 
 class TestPlaneBranchValidation:
@@ -252,6 +248,16 @@ class TestBranchConstruction:
             PuiseuxParam(1, {2: 1})
         with pytest.raises(BranchInputError):
             PuiseuxParam(4, {})
+
+    def test_head_room_is_bounded_by_the_working_precision(self):
+        from planebranch.branch import BranchInputError, PuiseuxParam
+
+        # c + 2 v0 + 1 = 6 + 6 + 1 for <3, 4>; the bound doubles it at most
+        phi = PuiseuxParam(3, {4: 1, 5: 1}, extra=13)
+        assert phi.trunc == 26
+        for extra in (14, 1000, -1):
+            with pytest.raises(BranchInputError, match="between 0 and conductor"):
+                PuiseuxParam(3, {4: 1, 5: 1}, extra=extra)
 
     def test_json_round_trip(self):
         from planebranch.branch import PuiseuxParam
