@@ -135,9 +135,9 @@ class PuiseuxParam:
         """y(t)**b through t**(N - 1), from the branch's own power ladder.
 
         The ladder [1, y, y**2, ...] grows by one product with y per new
-        rung, each cut at N, and is kept for the life of the branch: every
-        pullback of X**a Y**b is ``y_power(b).shift(a * v0)``, since x is
-        t**v0.
+        rung, each cut at N, and is kept for the life of the branch.  These
+        are the only series products the pullbacks make: X**a Y**b is
+        ``y_power(b).shift(a * v0)``, since x is t**v0.
         """
         ladder = self._ypow
         if ladder is None:

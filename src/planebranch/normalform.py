@@ -31,11 +31,11 @@ constraints) yields the one-parameter family p = -s G, q = s H whose
 effect on the coefficient of t**k is affine in s with nonzero slope, so a
 single division by the first-order slope finds the parameter that kills
 the term, and one application of the change removes it.  The slope is
-one coefficient of the form's integrand, read without building the
-integrand.  Every recipe takes this path; the result is checked exactly,
-so a response that was not affine would raise InternalError.  The form is chosen so that everything
-below k is provably untouched (function values of H and G give an
-explicit pollution threshold); when no such form exists — as for the
+one coefficient of the form's integrand.  Every recipe takes this path;
+the result is checked exactly, so a response that was not affine would
+raise InternalError.  The form is chosen so that everything below k is
+provably untouched (function values of H and G give an explicit
+pollution threshold); when no such form exists — as for the
 order v1 + lambda - v0, and some orders above it, when n1 = 2 and the
 genus is at least 2 — the spill below k lands on semigroup orders and is
 restored by the same machinery, all sub-steps being composed into a
@@ -70,6 +70,7 @@ from .valuation import (
     InternalError,
     form_witnesses,
     function_witnesses,
+    integrand,
     lambda_set,
     semigroup_of_values,
     value_of_function,
@@ -90,6 +91,8 @@ class CoordChange:
 
     @classmethod
     def from_dict(cls, data) -> "CoordChange":
+        if "r" not in data:
+            raise ValueError(f"coordinate change {data!r} lacks 'r'")
         return cls(
             r=_read_rat(data["r"], "r"),
             p=BiPoly.from_pairs(data.get("p", [])),
@@ -336,38 +339,13 @@ def _candidate_recipes(phi: PuiseuxParam, k: int, lam):
 def _affine_slope(phi: PuiseuxParam, recipe: _Recipe, k: int):
     """d/ds of the coefficient of t**k under recipe(s), to first order in s.
 
-    With H dX + G dY = q_gen dX - p_gen dY, the change moves y by
-    s (H x' + G y') / x' + O(s**2), and x' = v0 t**(v0 - 1).  Only the
-    coefficient of t**K, K = k + v0 - 1, of that integrand is read:
-
-        v0 [t**k] H* + sum_i [t**i] G* [t**(K - i)] y',
-
-    H* and G* the pullbacks.  That is exact wherever
-    ``valuation.integrand`` is trusted; past its window the same
-    ValueError is raised.
+    The change moves y by s (H x' + G y') / x' + O(s**2), H dX + G dY =
+    q_gen dX - p_gen dY and x' = v0 t**(v0 - 1), so the slope is one
+    coefficient of ``integrand``.  Only EC1 (no dY part, window N + v0 - 1)
+    runs at orders in the semigroup; the rest run at k < c < N - 1.
     """
-    v0, v1, N = phi.v0, phi.v1, phi.trunc
-    K = k + v0 - 1
-    H, G = recipe.q_gen, -recipe.p_gen
-    h = g = None
-    windows = []
-    if not H.is_zero():
-        h = bipoly_pullback(H, phi)
-        windows.append(N + v0 - 1)
-    if not G.is_zero():
-        g = bipoly_pullback(G, phi)
-        # the window of the product G* y', y' of order v1 - 1 cut at N - 1
-        windows.append(min(N + v1 - 1, N - 1 + g.order_floor()))
-    trunc = min(windows, default=N)  # N: the integrand of the zero form
-    if K >= trunc:
-        raise ValueError(f"coefficient at {K} is beyond truncation {trunc}")
-    slope = R0 if h is None else h.coeff(k)
-    if g is not None:
-        # [t**j] y' = (j + 1) [t**(j + 1)] y
-        y = phi.y.nums
-        acc = sum(n * (K + 1 - i) * y.get(K + 1 - i, 0) for i, n in g.nums.items())
-        slope += rat(acc, g.den * phi.y.den * v0)
-    return slope
+    v0 = phi.v0
+    return integrand(phi, recipe.q_gen, -recipe.p_gen).coeff(k + v0 - 1) / v0
 
 
 def _solve_step(phi: PuiseuxParam, recipe: _Recipe, k: int, target):

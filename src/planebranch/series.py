@@ -19,9 +19,11 @@ series by one recurrence; a branch holds its y as a TSeries, so the
 coordinate changes of ``normalform`` run on these numerators too.
 The two triangular eliminations (``valuation._eliminate`` and the solve in
 ``normalform.apply_coordinate_change``) work on bare numerator lists and
-share one fraction-free row step, ``_clear_lead``.  ``bipoly_pullback``
-runs on ints too: it sums the branch's own y-powers, shifted by the
-x-degree, over one common denominator, and multiplies no series itself.
+share one fraction-free row step, ``_clear_lead``.  Every pullback, of a
+function (``bipoly_pullback``) or of a 1-form (``valuation.integrand`` and
+the Lambda rows), is one ``_sum_rungs`` pass over shifted rungs of the
+branch's y-power ladder or their derivatives: growing that ladder is the
+one product of series the package makes.
 
 The one rational type is fractions.Fraction, exported as ``rat``; it
 prints as "p/q" / "n", which is the on-disk format everywhere.  With the
@@ -236,7 +238,7 @@ class TSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TSeries):
-            return self.scale(other)
+            return NotImplemented
         # Trusted window of a product: each factor's tail enters at its
         # truncation plus the other's order, so take the better bound.
         trunc = min(self.trunc + other.order_floor(), other.trunc + self.order_floor())
@@ -250,9 +252,6 @@ class TSeries:
                 acc[e1 + e2] += n1 * n2
         nums = {e: n for e, n in enumerate(acc) if n}
         return TSeries._over(trunc, self.den * other.den, nums)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, c):
         c = rat(c)
@@ -366,12 +365,17 @@ class BiPoly:
 
     @classmethod
     def from_pairs(cls, pairs) -> "BiPoly":
-        """Build from [[degX, degY, "coeff"], ...] (the on-disk format)."""
+        """Build from [[degX, degY, "coeff"], ...] (the on-disk format); an
+        entry other than a 3-item list with int degrees >= 0 is a ValueError."""
         out = {}
-        for a, b, c in pairs:
+        for entry in pairs:
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and all(type(d) is int and d >= 0 for d in entry[:2])):
+                raise ValueError(f"bad term {entry!r}: need [degX, degY, coeff], degrees >= 0")
+            a, b, c = entry
             c = _read_rat(c, f"coefficient of X^{a} Y^{b}")
             if c != 0:
-                out[(int(a), int(b))] = out.get((int(a), int(b)), R0) + c
+                out[(a, b)] = out.get((a, b), R0) + c
         return cls({k: v for k, v in out.items() if v != 0}, _clean=True)
 
     def to_pairs(self):
@@ -457,24 +461,30 @@ class BiPoly:
         return f"BiPoly({bits})"
 
 
+def _sum_rungs(parts, trunc: int) -> TSeries:
+    """The sum of c t**k s, or of c t**k s' where ds, over parts (k, s, c, ds)
+    with s a ladder rung, cut at trunc inside every rung's window: one integer
+    pass over the lcm of all the denominators, then one content gcd."""
+    D = lcm(*[s.den * c.denominator for _, s, c, _ in parts])
+    acc = {}
+    for k, s, c, ds in parts:
+        f = c.numerator * (D // (s.den * c.denominator))
+        for e, n in s.nums.items():
+            if ds:
+                e, n = e - 1, e * n
+            e += k
+            if e < trunc:
+                acc[e] = acc.get(e, 0) + f * n
+    return TSeries._over(trunc, D, {e: n for e, n in acc.items() if n})
+
+
 def bipoly_pullback(h: BiPoly, phi) -> TSeries:
     """h(x(t), y(t)) along the branch phi, through its working truncation N.
 
-    Since x is t**v0, each term c X**a Y**b is c t**(a v0) y**b, with y**b
-    read from the branch's ladder ``phi.y_power(b)``; terms of value
-    a v0 + b v1 >= N cannot reach below N and are skipped.  The rest are
-    summed in one integer pass: every rung's numerators, scaled by c, over
-    the lcm of all the denominators, then one content gcd.
+    Since x is t**v0, each term c X**a Y**b is c t**(a v0) y**b, y**b the
+    rung ``phi.y_power(b)``; terms of value a v0 + b v1 >= N cannot reach
+    below N and are skipped.  One ``_sum_rungs`` pass sums the rest.
     """
     N, v0, v1 = phi.trunc, phi.v0, phi.v1
-    parts = [(a * v0, phi.y_power(b), c) for (a, b), c in h.terms.items()
-             if a * v0 + b * v1 < N]
-    D = lcm(*[s.den * c.denominator for _, s, c in parts])
-    acc = {}
-    for k, s, c in parts:
-        f = c.numerator * (D // (s.den * c.denominator))
-        for e, n in s.nums.items():
-            e += k
-            if e < N:
-                acc[e] = acc.get(e, 0) + f * n
-    return TSeries._over(N, D, {e: n for e, n in acc.items() if n})
+    return _sum_rungs([(a * v0, phi.y_power(b), c, False) for (a, b), c in h.terms.items()
+                       if a * v0 + b * v1 < N], N)

@@ -24,9 +24,11 @@ each step records its rational factor, and the witnesses of the pivots
 alone are rebuilt from those factors once the rows are reduced (see
 _eliminate).
 
-The rows are the pulled-back monomials X^a Y^b, each the branch's own
-y-power ``phi.y_power(b)`` shifted by a v0, so valuations and
-``bipoly_pullback`` share one ladder of powers of y.  Of the value sets
+Every pullback reads the branch's ladder of powers of y, ``phi.y_power``:
+X^a Y^b is t^(a v0) y^b, X^a Y^b dX pulls back to v0 t^((a+1) v0 - 1) y^b
+and X^a Y^b dY to t^(a v0) y^b y' = t^(a v0) (y^(b+1))' / (b + 1), so a
+row or an integrand is a sum of shifted rungs or rung derivatives and
+multiplies no series (``_form_pullback``).  Of the value sets
 only Lambda is memoised on the branch: the Lambda2 and LambdaPrime
 thresholds and the Zariski invariant all read it, and callers ask for
 each of those once per branch.
@@ -49,6 +51,7 @@ from .series import (
     TSeries,
     _clear_lead,
     _numerators,
+    _sum_rungs,
     bipoly_pullback,
     rat,
 )
@@ -129,25 +132,31 @@ def value_of_function(phi: PuiseuxParam, h: BiPoly):
 
 def value_of_differential(phi: PuiseuxParam, omega: DifferentialForm):
     """ord(pullback(H) x' + pullback(G) y') + 1, the value of H dX + G dY."""
-    s = integrand(phi, omega.H, omega.G)
-    o = s.order()
-    if isinstance(o, int):
-        return o + 1
-    return AboveTruncation(o.trunc + 1)
+    o = integrand(phi, omega.H, omega.G).order()
+    return o + 1 if isinstance(o, int) else AboveTruncation(o.trunc + 1)
 
 
 def integrand(phi: PuiseuxParam, H: BiPoly, G: BiPoly) -> TSeries:
     """H(x(t), y(t)) x'(t) + G(x(t), y(t)) y'(t), the pullback of H dX + G dY."""
-    v0 = phi.v0
-    acc = None
-    if not H.is_zero():
-        acc = bipoly_pullback(H, phi).shift(v0 - 1).scale(v0)
-    if not G.is_zero():
-        part = bipoly_pullback(G, phi) * phi.y.derivative()
-        acc = part if acc is None else acc + part
-    if acc is None:
-        acc = TSeries(phi.trunc)
-    return acc
+    return _form_pullback(phi, H, G)
+
+
+def _form_pullback(phi: PuiseuxParam, H: BiPoly, G: BiPoly, cut=None) -> TSeries:
+    """The integrand of H dX + G dY in one ``_sum_rungs`` pass, cut at cut.
+
+    A rung is exact below N and its derivative below N - 1, so the integrand
+    is trusted below N - 1 once G != 0, below N + v0 - 1 for H alone and
+    below N for the zero form.  Terms of order >= the cut grow no rung.
+    """
+    v0, v1, N = phi.v0, phi.v1, phi.trunc
+    trunc = N - 1 if G.terms else N + v0 - 1 if H.terms else N
+    if cut is not None:
+        trunc = min(trunc, cut)
+    parts = [((a + 1) * v0 - 1, phi.y_power(b), c * v0, False)
+             for (a, b), c in H.terms.items() if (a + 1) * v0 + b * v1 - 1 < trunc]
+    parts += [(a * v0, phi.y_power(b + 1), c / (b + 1), True)
+              for (a, b), c in G.terms.items() if a * v0 + (b + 1) * v1 - 1 < trunc]
+    return _sum_rungs(parts, trunc)
 
 
 def _eliminate(rows, lead_cap):
@@ -320,22 +329,18 @@ def form_witnesses(phi: PuiseuxParam, kind: str, top: int) -> dict:
 def _form_rows(phi: PuiseuxParam, kind: str, top: int) -> list:
     v0, v1 = phi.v0, phi.v1
     filt = _KIND_FILTERS[kind]
-    yprime = phi.y.derivative()
+    zero = BiPoly.zero()
     rows = []
     for a in range(top // v0 + 1):
         for b in range((top - a * v0) // v1 + 1):
             base = a * v0 + b * v1
+            mono = BiPoly.monomial(a, b)
             if filt["dX"](a, b) and base + v0 <= top:
-                integ = phi.y_power(b).shift(a * v0).truncate(top - v0 + 1)
-                rows.append(((base + v0, a, b, 0), integ.shift(v0 - 1).scale(v0),
-                             BiPoly.monomial(a, b), BiPoly.zero()))
+                rows.append(((base + v0, a, b, 0), _form_pullback(phi, mono, zero, top),
+                             mono, zero))
             if filt["dY"](a, b) and base + v1 <= top:
-                # each factor is cut where the other's order still leaves the
-                # product trusted through t**(top - 1)
-                integ = (phi.y_power(b).shift(a * v0).truncate(top - v1 + 1)
-                         * yprime.truncate(top - base))
-                rows.append(((base + v1, a, b, 1), integ,
-                             BiPoly.zero(), BiPoly.monomial(a, b)))
+                rows.append(((base + v1, a, b, 1), _form_pullback(phi, zero, mono, top),
+                             zero, mono))
     return rows
 
 

@@ -1,9 +1,12 @@
-"""Rational reference implementations of series operations, for tests only.
+"""Reference implementations of series operations, for tests only.
 
-Each works coefficient by coefficient on the rational ``terms`` of a
-``TSeries`` and builds its result through the public constructor, so it
-shares no arithmetic with the integer kernels it is compared against.
-The Hypothesis strategies at the end draw the inputs they are compared on.
+Most work coefficient by coefficient on the rational ``terms`` of a
+``TSeries`` and build their result through the public constructor, so
+they share no arithmetic with the integer kernels they are compared
+against.  The product formulas (``oracle_pow``, ``product_integrand``,
+``product_form_rows``) multiply TSeries instead, which the pullbacks of
+1-forms they check no longer do.  The Hypothesis strategies at the end
+draw the inputs they are compared on.
 """
 
 from math import gcd
@@ -11,7 +14,8 @@ from math import gcd
 from hypothesis import assume, strategies as st
 
 from planebranch.branch import PuiseuxParam
-from planebranch.series import R0, R1, TSeries, rat
+from planebranch.series import R0, R1, BiPoly, TSeries, rat
+from planebranch.valuation import _KIND_FILTERS
 
 
 def rational_root_unit(w: TSeries, n: int) -> TSeries:
@@ -101,6 +105,48 @@ def rational_pullback(h, phi) -> TSeries:
             if e < N:
                 out[e] = out.get(e, R0) + c * k
     return TSeries(N, out)
+
+
+def product_integrand(phi, H, G) -> TSeries:
+    """The integrand H* x' + G* y' of H dX + G dY by the product formula.
+
+    H* and G* are the rational pullbacks; H* is shifted by v0 - 1 and
+    scaled by v0, G* is multiplied by y', and each part keeps the window
+    its operations leave.  The zero form gives the zero series cut at N.
+    """
+    acc = None
+    if H.terms:
+        acc = rational_pullback(H, phi).shift(phi.v0 - 1).scale(phi.v0)
+    if G.terms:
+        part = rational_pullback(G, phi) * phi.y.derivative()
+        acc = part if acc is None else acc + part
+    return TSeries(phi.trunc) if acc is None else acc
+
+
+def product_form_rows(phi, kind, top):
+    """The rows of ``valuation._form_rows`` by the product formula.
+
+    X^a Y^b dX is v0 t**(v0 - 1) times the shifted rung y**b, and
+    X^a Y^b dY the shifted rung times y'; each factor is cut where the
+    other's order still leaves the row trusted through t**(top - 1).
+    """
+    v0, v1 = phi.v0, phi.v1
+    filt = _KIND_FILTERS[kind]
+    yprime = phi.y.derivative()
+    rows = []
+    for a in range(top // v0 + 1):
+        for b in range((top - a * v0) // v1 + 1):
+            base = a * v0 + b * v1
+            if filt["dX"](a, b) and base + v0 <= top:
+                integ = phi.y_power(b).shift(a * v0).truncate(top - v0 + 1)
+                rows.append(((base + v0, a, b, 0), integ.shift(v0 - 1).scale(v0),
+                             BiPoly.monomial(a, b), BiPoly.zero()))
+            if filt["dY"](a, b) and base + v1 <= top:
+                integ = (phi.y_power(b).shift(a * v0).truncate(top - v1 + 1)
+                         * yprime.truncate(top - base))
+                rows.append(((base + v1, a, b, 1), integ,
+                             BiPoly.zero(), BiPoly.monomial(a, b)))
+    return rows
 
 
 def rational_scaling_change(phi, ch):

@@ -1,6 +1,7 @@
 """Coordinate changes, term elimination, normal forms, equivalence."""
 
 import re
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -29,11 +30,12 @@ from planebranch import normalform, semigroup
 from planebranch.normalform import _Recipe, _affine_slope, _candidate_recipes
 from planebranch.semigroup import char_data_from_exponents, two_generator_rep
 from planebranch.series import R1, TSeries
-from planebranch.valuation import form_witnesses, integrand
+from planebranch.valuation import form_witnesses
 
 from series_oracles import (
     assert_canonical,
     oracle_pow,
+    product_integrand,
     rational_root_unit,
     rational_scaling_change,
     series_compose,
@@ -176,6 +178,10 @@ class TestApplyChange:
             CoordChange.from_dict(data)
         assert CoordChange.from_dict({"r": 2, "p": [[2, 0, -3]]}).p == bp((2, 0, "-3"))
 
+    def test_change_from_dict_requires_r(self):
+        with pytest.raises(ValueError, match="lacks 'r'"):
+            CoordChange.from_dict({"q": [[0, 2, "1"]]})
+
 
 def series_apply_change(phi, ch):
     """Reference for apply_coordinate_change with p != 0: the triangular
@@ -269,16 +275,21 @@ class TestApplyChangeAgainstSeriesSolve:
 
 
 def check_slope(phi, recipe, k):
-    """_affine_slope equals [t**(j + v0 - 1)] of the recipe's integrand over
-    v0 at every order j from k, and raises where the integrand's window
-    ends (two orders past it are tried)."""
-    om = integrand(phi, recipe.q_gen, -recipe.p_gen)
-    for j in range(k, om.trunc - phi.v0 + 3):
-        K = j + phi.v0 - 1
-        if K < om.trunc:
-            assert _affine_slope(phi, recipe, j) == om.coeff(K) / phi.v0
+    """_affine_slope equals [t**(j + v0 - 1)] of the product-formula
+    integrand over v0 at every order j from k below the integrand's window
+    (N - 1 for a form with a dY part, N + v0 - 1 for a dX part alone), and
+    raises past it (two orders past it are tried)."""
+    v0, N = phi.v0, phi.trunc
+    G = -recipe.p_gen
+    ref = product_integrand(phi, recipe.q_gen, G)
+    window = N - 1 if G.terms else N + v0 - 1
+    assert window <= ref.trunc
+    for j in range(k, window - v0 + 3):
+        K = j + v0 - 1
+        if K < window:
+            assert _affine_slope(phi, recipe, j) == ref.coeff(K) / v0
         else:
-            with pytest.raises(ValueError, match=f"beyond truncation {om.trunc}"):
+            with pytest.raises(ValueError, match=f"beyond truncation {window}"):
                 _affine_slope(phi, recipe, j)
 
 
@@ -385,7 +396,8 @@ class TestEliminateTerm:
                 names.add(recipe.name)
                 check_slope(phi, recipe, k)
         assert names == {"EC1", "EC2", "witness", "special"}
-        # a dY-component of value 2 v0 < v1, where G* y' sets the window
+        # a dY-component of value 2 v0 < v1, where the product formula's
+        # window is N + 2 v0 - 1 and the integrand's is N - 1
         probe = _Recipe(name="probe", p_gen=bp((2, 0, "1")), q_gen=BiPoly(), safe=True)
         check_slope(branch(3, {7: 1, 8: 1}), probe, 8)
 
@@ -427,6 +439,26 @@ class TestEliminateTerm:
 
 
 class TestToNormalForm:
+    def test_head_room_changes_nothing_below_n(self):
+        # honest truncation: four more orders of head-room give the same
+        # lambda, free exponents and normal form below N, and the changes
+        # they add come after the narrow reduction's; budget 3 s of CPU time,
+        # which other processes on the machine do not inflate
+        @settings(deadline=None, max_examples=25)
+        @given(small_branches())
+        def same_below_n(phi):
+            narrow = to_normal_form(phi)
+            wide = to_normal_form(PuiseuxParam(phi.v0, phi.terms, extra=4))
+            assert wide.lam == narrow.lam
+            assert wide.free_exponents == narrow.free_exponents
+            assert wide.normal.y.truncate(phi.trunc) == narrow.normal.y
+            assert wide.change_log[:len(narrow.change_log)] == narrow.change_log
+
+        t0 = time.process_time()
+        same_below_n()
+        elapsed = time.process_time() - t0
+        assert elapsed < 3.0, f"head-room property took {elapsed:.2f}s of CPU time"
+
     def test_class_is_built_once_and_shared(self, monkeypatch):
         # one sieve per beta: the input builds the class, and every branch
         # of the reduction and of its replay holds that same record

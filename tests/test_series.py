@@ -1,5 +1,7 @@
 """Exact series arithmetic against independently computed oracles."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -380,6 +382,15 @@ class TestBiPoly:
         p = BiPoly.from_pairs([[0, 1, "-8"], [1, 0, "7"], [2, 3, "1/2"]])
         assert BiPoly.from_pairs(p.to_pairs()) == p
         assert p.to_pairs() == [[0, 1, "-8"], [1, 0, "7"], [2, 3, "1/2"]]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [[2.7, 0, "1"], [True, 0, "1"], ["2", 0, "1"], [-1, 0, "1"], [0, 1], [0, 1, "1", "2"]],
+        ids=["float", "bool", "string", "negative", "two-items", "four-items"],
+    )
+    def test_pairs_reject_a_bad_entry(self, entry):
+        with pytest.raises(ValueError, match=re.escape(f"bad term {entry!r}: need [degX, degY")):
+            BiPoly.from_pairs([[1, 0, "1"], entry])
 
     def test_substitute(self):
         # (X + Y) o (X = X^2, Y = XY - 1) = X^2 + XY - 1

@@ -17,6 +17,7 @@ from planebranch.valuation import (
     _form_rows,
     _function_rows,
     function_witnesses,
+    integrand,
     lambda_set,
     s_sandwich_check,
     semigroup_of_values,
@@ -25,7 +26,7 @@ from planebranch.valuation import (
     zariski_invariant,
 )
 
-from series_oracles import coeffs, small_branches
+from series_oracles import coeffs, product_form_rows, product_integrand, small_branches
 
 
 def branch(v0, **terms):
@@ -164,6 +165,52 @@ class TestLongStepChains:
         else:
             cap = phi.semigroup.conductor + 2 * phi.v0
             assert_same_pivots(_form_rows(phi, kind, cap), cap - 1)
+
+
+class TestFormPullback:
+    """The integrand and the Λ rows read the y-power ladder; checked against
+    the product formula, which multiplies pullbacks by y'."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(small_branches(), st.data())
+    def test_integrand_matches_product_formula(self, phi, data):
+        monomials = st.tuples(st.integers(0, 5), st.integers(0, 4))
+        H, G = (BiPoly(data.draw(st.dictionaries(monomials, coeffs, max_size=3)))
+                for _ in range(2))
+        got = integrand(phi, H, G)
+        want = product_integrand(phi, H, G)
+        assert got.trunc <= want.trunc
+        assert got == want.truncate(got.trunc)
+
+    @settings(deadline=None, max_examples=25)
+    @given(small_branches(), st.data())
+    def test_form_rows_match_product_rows(self, phi, data):
+        cap = phi.semigroup.conductor + 2 * phi.v0
+        top = data.draw(st.integers(phi.v0, cap))
+        for kind in ("Lambda", "Lambda2", "LambdaPrime"):
+            assert _form_rows(phi, kind, top) == product_form_rows(phi, kind, top)
+
+    @pytest.mark.parametrize(
+        "v0, terms",
+        [(7, {8: 1, 10: 1}), (6, {9: 1, 10: 1, 14: 1}), (4, {6: 1, 7: "1/3", 9: -2})],
+    )
+    def test_only_the_ladder_multiplies_series(self, monkeypatch, v0, terms):
+        calls = []
+        product = TSeries.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return product(a, b)
+
+        monkeypatch.setattr(TSeries, "__mul__", counted)
+        phi = PuiseuxParam(v0, {e: rat(c) for e, c in terms.items()})
+        semigroup_of_values(phi)
+        for kind in ("Lambda", "Lambda2", "LambdaPrime"):
+            lambda_set(phi, kind)
+        zariski_invariant(phi)
+        grown = len(phi._ypow) - 2
+        assert grown > 0
+        assert len(calls) == grown
 
 
 class TestDifferentialValues:
